@@ -4,14 +4,16 @@
 /// intra-fragment strawman across (a) grids of growing size and (b) wheels
 /// of growing size at constant diameter 2 with arc-forcing weights.
 ///
-/// Shape to read off (see EXPERIMENTS.md): the asymptotic claim is about
+/// Shape to read off: the asymptotic claim is about
 /// *growth*, not constants. On the constant-diameter wheel family the
 /// shortcut variant's rounds stay nearly flat as n grows while both
 /// baselines scale with n — the crossover the paper predicts. On grids at
 /// laptop scale the per-phase shortcut *construction* (Θ(polylog) factors
 /// of D) dominates and the classical baselines win on absolute rounds;
 /// their growth rates, however, are Θ(n)-ish versus the shortcut variant's
-/// Θ(D polylog). All results are verified against Kruskal.
+/// Θ(D polylog). All results are verified against Kruskal. Host time of
+/// the MST pipeline, end to end and per stage, is measured by the repo
+/// benchmark instead (perfbench/README.md).
 #include "bench_util.h"
 #include "graph/reference.h"
 #include "mst/boruvka_intra.h"

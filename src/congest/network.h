@@ -512,4 +512,16 @@ PhaseStats run_phase(Network& net, std::vector<P>& procs,
   return net.run(ptrs, max_rounds);
 }
 
+/// Run a phase in which one process object serves every node: it finds its
+/// node through `ctx.id()` and keeps all per-node state in per-node storage
+/// (node v's callbacks write only v's elements), so parallel rounds never
+/// share a written element. Saves building one object per node per phase.
+inline PhaseStats run_phase_shared(
+    Network& net, Process& proc,
+    std::int64_t max_rounds = Network::kDefaultMaxRounds) {
+  auto& ptrs = net.process_scratch();
+  ptrs.assign(static_cast<std::size_t>(net.num_nodes()), &proc);
+  return net.run(ptrs, max_rounds);
+}
+
 }  // namespace lcs::congest

@@ -2,10 +2,12 @@
 /// Per-node state machines — the programming model of the simulator.
 ///
 /// A distributed algorithm is a `Process` subclass instantiated once per
-/// node. The engine invokes `on_start` before round 0 and `on_round`
-/// whenever the node has incoming messages or requested a wakeup. A node
-/// that neither receives nor requests wakeups sleeps for free (the engine
-/// is activity-driven), but simulated time still advances globally.
+/// node (or one object serving every node through `ctx.id()`, see
+/// `run_phase_shared`). The engine invokes `on_start` before round 0 and
+/// `on_round` whenever the node has incoming messages or requested a
+/// wakeup. A node that neither receives nor requests wakeups sleeps for
+/// free (the engine is activity-driven), but simulated time still advances
+/// globally.
 ///
 /// Faithfulness contract: a process may only consult
 ///   * its own node id and its incident edges (`Context::neighbors`),

@@ -51,6 +51,8 @@ class Graph {
   EdgeId num_edges() const { return util::checked_cast<EdgeId>(edges_.size()); }
 
   const Edge& edge(EdgeId e) const;
+  /// Adjacency of `v`, ascending by edge id (protocols binary-search it to
+  /// map an incoming edge to its neighbor slot).
   std::span<const Neighbor> neighbors(NodeId v) const;
   NodeId degree(NodeId v) const;
 

@@ -46,8 +46,9 @@ congest::PerNode<std::uint64_t> part_min_flood(
     value[u64(v)] = std::min(value[u64(v)], received);
   };
 
+  SuperstepScratch scratch;
   for (std::int32_t step = 0; step < b_steps; ++step)
-    run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+    run_superstep(net, tree, partition, state, neighbor_parts, hooks, scratch);
   return value;
 }
 

@@ -60,7 +60,10 @@ ShortcutState compute_shortcut_state(congest::Network& net,
       state.own_block_root_depth[static_cast<std::size_t>(v)] = root_depth;
     }
   };
-  run_component_broadcast(net, tree, state.shortcut, root_value, on_receive);
+  state.plan = compile_routing_plan(tree, state.shortcut);
+  RoutingScratch scratch;
+  run_component_broadcast(net, tree, state.plan, scratch, root_value,
+                          on_receive);
 
   // Singleton components: a part node with no incident own-part shortcut
   // edge roots its own (empty) component. This is purely local knowledge.
@@ -80,6 +83,10 @@ ShortcutState compute_shortcut_state(congest::Network& net,
     for (const NodeId r : state.root_id_on_edge[e])
       LCS_CHECK(r != kNoNode, "component broadcast missed an edge slot");
   }
+  // Each node now knows its parent edge's root depths: the plan's
+  // convergecast priorities (local, zero rounds).
+  attach_root_depths(state.plan, tree, state.shortcut,
+                     state.root_depth_on_edge);
   return state;
 }
 

@@ -11,6 +11,15 @@
 /// (root id, root depth) down its component. The root id doubles as a
 /// *block id*, unique within each part, which verification and part routing
 /// rely on.
+///
+/// The same phase also yields each node's compiled `RoutingPlan` (see
+/// tree_routing.h): its (part, child-edge count, has-parent, parent root
+/// depth) entries, the parts whose components it roots, and its child
+/// slots. Every entry derives from the part lists on the node's incident
+/// tree edges and the root depths the broadcast just delivered, so the plan
+/// costs zero rounds. It is immutable once built; the verification and part
+/// routing loops run all their supersteps over it with their own per-node
+/// scratch.
 #pragma once
 
 #include "congest/network.h"
@@ -18,6 +27,7 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/shortcut.h"
+#include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
 
 namespace lcs {
@@ -40,6 +50,9 @@ struct ShortcutState {
 
   /// True if v's own-part component is the singleton {v}.
   congest::PerNode<bool> own_singleton;
+
+  /// Per-node block-component layout, root depths attached.
+  RoutingPlan plan;
 };
 
 /// Run the representation phase for `shortcut` (rounds accounted in `net`)

@@ -1,5 +1,7 @@
 #include "shortcut/superstep.h"
 
+#include <algorithm>
+
 #include "congest/message.h"
 #include "congest/network.h"
 #include "congest/process.h"
@@ -36,17 +38,20 @@ class PartExchangeProcess final : public congest::Process {
   }
 
   void on_round(Context& ctx, std::span<const Incoming> inbox) override {
+    // The neighbor list is ascending by edge id (Graph::neighbors), so each
+    // message's slot is a binary search: O(deg log deg) per node, not the
+    // O(deg^2) of a linear scan at hubs.
+    const auto nbs = ctx.neighbors();
     for (const auto& in : inbox) {
-      // Locate the neighbor slot for this edge.
-      const auto nbs = ctx.neighbors();
-      for (std::size_t k = 0; k < nbs.size(); ++k) {
-        if (nbs[k].edge == in.edge) {
-          out_[k] = in.msg.words[0] == 0
-                        ? kNoPart
-                        : util::checked_cast<PartId>(in.msg.words[0] - 1);
-          break;
-        }
-      }
+      const auto it = std::lower_bound(
+          nbs.begin(), nbs.end(), in.edge,
+          [](const Graph::Neighbor& nb, EdgeId e) { return nb.edge < e; });
+      LCS_CHECK(it != nbs.end() && it->edge == in.edge,
+                "part announcement over a non-incident edge");
+      out_[static_cast<std::size_t>(it - nbs.begin())] =
+          in.msg.words[0] == 0
+              ? kNoPart
+              : util::checked_cast<PartId>(in.msg.words[0] - 1);
     }
   }
 
@@ -57,35 +62,34 @@ class PartExchangeProcess final : public congest::Process {
 };
 
 /// One round: part members send hook-provided words to same-part neighbors.
+/// One object serves every node (stateless apart from the hooks' per-node
+/// slots).
 class CrossExchangeProcess final : public congest::Process {
  public:
-  CrossExchangeProcess(NodeId id, const Partition& partition,
+  CrossExchangeProcess(const Partition& partition,
                        const NeighborParts& neighbor_parts,
                        const SuperstepHooks& hooks)
-      : id_(id),
-        partition_(partition),
-        neighbor_parts_(neighbor_parts),
-        hooks_(hooks) {}
+      : partition_(partition), neighbor_parts_(neighbor_parts), hooks_(hooks) {}
 
   void on_start(Context& ctx) override {
-    const PartId j = partition_.part(id_);
+    const NodeId v = ctx.id();
+    const PartId j = partition_.part(v);
     if (j == kNoPart) return;
     const auto nbs = ctx.neighbors();
-    const auto& parts = neighbor_parts_.of[static_cast<std::size_t>(id_)];
+    const auto& parts = neighbor_parts_.of[static_cast<std::size_t>(v)];
     for (std::size_t k = 0; k < nbs.size(); ++k) {
       if (parts[k] != j) continue;
-      const auto msg = hooks_.cross_message(id_, nbs[k].node, nbs[k].edge);
+      const auto msg = hooks_.cross_message(v, nbs[k].node, nbs[k].edge);
       if (msg.has_value()) ctx.send(nbs[k].edge, Message(0, *msg));
     }
   }
 
-  void on_round(Context&, std::span<const Incoming> inbox) override {
+  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
     for (const auto& in : inbox)
-      hooks_.on_cross(id_, in.from, in.edge, in.msg.words[0]);
+      hooks_.on_cross(ctx.id(), in.from, in.edge, in.msg.words[0]);
   }
 
  private:
-  NodeId id_;
   const Partition& partition_;
   const NeighborParts& neighbor_parts_;
   const SuperstepHooks& hooks_;
@@ -108,60 +112,45 @@ NeighborParts exchange_neighbor_parts(congest::Network& net,
 void run_superstep(congest::Network& net, const SpanningTree& tree,
                    const Partition& partition, const ShortcutState& state,
                    const NeighborParts& neighbor_parts,
-                   const SuperstepHooks& hooks) {
+                   const SuperstepHooks& hooks, SuperstepScratch& scratch) {
   LCS_CHECK(hooks.contribution && hooks.combine && hooks.on_aggregate,
             "superstep hooks incomplete");
+  const RoutingPlan& plan = state.plan;
 
   // 1. Cross-edge exchange between adjacent supernodes over G[Pi] edges.
   if (hooks.cross_message) {
     LCS_CHECK(static_cast<bool>(hooks.on_cross),
               "cross_message requires on_cross");
-    std::vector<CrossExchangeProcess> procs;
-    procs.reserve(static_cast<std::size_t>(net.num_nodes()));
-    for (NodeId v = 0; v < net.num_nodes(); ++v)
-      procs.emplace_back(v, partition, neighbor_parts, hooks);
-    congest::run_phase(net, procs);
+    CrossExchangeProcess exchange(partition, neighbor_parts, hooks);
+    congest::run_phase_shared(net, exchange);
   }
 
   // 2. Convergecast within components; roots hold the per-component result.
-  //    Keyed by (root, part) — a root may close components of several
-  //    parts — but indexed *per root node*, not in one shared map: every
-  //    slot is written and read only through that root's own callbacks, so
-  //    this is genuine per-node state and stays race-free when the engine
-  //    runs callbacks for different nodes on different workers (a shared
-  //    hash map would race on rehash when two roots finish in one round).
-  //    This holds regardless of the engine's round path: with parallel
-  //    promotion the aggregation rounds of large instances run delivery
-  //    and merge on the pool, while the many tiny superstep phases (the
-  //    one-round cross exchange, per-component cast tails) take the
-  //    engine's sequential fallback — per-node slots are the contract
-  //    that keeps both paths observably identical, so the accounting
-  //    (rounds, messages, charge labels) never depends on thread count.
-  std::vector<std::vector<std::pair<PartId, std::uint64_t>>> root_agg(
-      static_cast<std::size_t>(net.num_nodes()));
+  //    A root may close components of several parts, so the aggregate is
+  //    kept per plan entry: every slot is written and read only through
+  //    that root's own callbacks, which keeps it genuine per-node state,
+  //    race-free when the engine runs different nodes on different workers
+  //    and identical at every thread count. The stamp tells this
+  //    superstep's aggregates from an earlier one's.
+  scratch.root_agg.resize(plan.entries.size());
+  scratch.root_agg_stamp.resize(plan.entries.size());
+  const std::uint64_t stamp = ++scratch.stamp;
   run_component_convergecast(
-      net, tree, state.shortcut, state.root_depth_on_edge, hooks.contribution,
-      hooks.combine,
+      net, tree, plan, scratch.routing, hooks.contribution, hooks.combine,
       [&](NodeId root, PartId j, std::uint64_t agg) {
-        auto& slots = root_agg[static_cast<std::size_t>(root)];
-        for (auto& [part, value] : slots) {
-          if (part == j) {
-            value = agg;
-            return;
-          }
-        }
-        slots.emplace_back(j, agg);
+        const std::size_t e = plan.find_entry(root, j);
+        scratch.root_agg[e] = agg;
+        scratch.root_agg_stamp[e] = stamp;
       });
 
   // 3. Broadcast the aggregates back down the components.
   run_component_broadcast(
-      net, tree, state.shortcut,
+      net, tree, plan, scratch.routing,
       [&](NodeId root, PartId j) -> std::uint64_t {
-        for (const auto& [part, value] :
-             root_agg[static_cast<std::size_t>(root)])
-          if (part == j) return value;
-        LCS_CHECK(false, "missing aggregate at component root");
-        return 0;
+        const std::size_t e = plan.find_entry(root, j);
+        LCS_CHECK(scratch.root_agg_stamp[e] == stamp,
+                  "missing aggregate at component root");
+        return scratch.root_agg[e];
       },
       [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
         hooks.on_aggregate(v, j, value);

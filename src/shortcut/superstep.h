@@ -24,12 +24,14 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "congest/network.h"
 #include "congest/process.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/representation.h"
+#include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
 
 namespace lcs {
@@ -65,10 +67,22 @@ struct SuperstepHooks {
       on_cross;
 };
 
-/// Execute one superstep. Rounds are accounted in `net`; O(D + c) per call.
+/// Per-node working memory of a superstep loop: the routing scratch of its
+/// casts plus each component root's aggregate, indexed by plan entry and
+/// stamped with the superstep that closed it. A loop owns one for all of
+/// its supersteps, so capacity is reused.
+struct SuperstepScratch {
+  RoutingScratch routing;
+  std::vector<std::uint64_t> root_agg;
+  std::vector<std::uint64_t> root_agg_stamp;
+  std::uint64_t stamp = 0;
+};
+
+/// Execute one superstep over `state.plan`. Rounds are accounted in `net`;
+/// O(D + c) per call.
 void run_superstep(congest::Network& net, const SpanningTree& tree,
                    const Partition& partition, const ShortcutState& state,
                    const NeighborParts& neighbor_parts,
-                   const SuperstepHooks& hooks);
+                   const SuperstepHooks& hooks, SuperstepScratch& scratch);
 
 }  // namespace lcs

@@ -1,7 +1,7 @@
 #include "shortcut/tree_routing.h"
 
-#include <map>
-#include <queue>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "congest/message.h"
@@ -16,30 +16,115 @@
 
 namespace lcs {
 
+std::size_t RoutingPlan::find_entry(NodeId v, PartId j) const {
+  const auto vi = static_cast<std::size_t>(v);
+  const Entry* first = entries.data() + entry_begin[vi];
+  const Entry* last = entries.data() + entry_begin[vi + 1];
+  const Entry* it =
+      std::lower_bound(first, last, j, [](const Entry& e, PartId part) {
+        return e.part < part;
+      });
+  LCS_CHECK(it != last && it->part == j, "routing message for unknown part");
+  return static_cast<std::size_t>(it - entries.data());
+}
+
+RoutingPlan compile_routing_plan(const SpanningTree& tree,
+                                 const Shortcut& shortcut) {
+  const std::size_t n = tree.depth.size();
+  RoutingPlan plan;
+  plan.entry_begin.reserve(n + 1);
+  plan.rooted_begin.reserve(n + 1);
+  plan.slot_begin.reserve(n + 1);
+  plan.entry_begin.push_back(0);
+  plan.entry_child_begin.push_back(0);
+  plan.rooted_begin.push_back(0);
+  plan.slot_begin.push_back(0);
+  plan.slot_queue_begin.push_back(0);
+
+  const std::vector<PartId> no_parts;
+  std::vector<std::pair<PartId, std::size_t>> carried;  // (part, child slot)
+  for (std::size_t v = 0; v < n; ++v) {
+    // Child slots, ascending by edge id, and the parts each one carries.
+    const std::size_t first_slot = plan.slot_edge.size();
+    plan.slot_edge.insert(plan.slot_edge.end(), tree.children_edges[v].begin(),
+                          tree.children_edges[v].end());
+    std::sort(plan.slot_edge.begin() + static_cast<std::ptrdiff_t>(first_slot),
+              plan.slot_edge.end());
+    carried.clear();
+    for (std::size_t s = first_slot; s < plan.slot_edge.size(); ++s) {
+      const auto& parts =
+          shortcut.parts_on_edge[static_cast<std::size_t>(plan.slot_edge[s])];
+      plan.slot_queue_begin.push_back(plan.slot_queue_begin.back() +
+                                      parts.size());
+      for (const PartId j : parts) carried.emplace_back(j, s);
+    }
+    std::sort(carried.begin(), carried.end());
+    plan.slot_begin.push_back(plan.slot_edge.size());
+
+    // Merge the parent edge's (sorted) parts with the child-carried ones:
+    // one entry per distinct part, child slots ascending.
+    const EdgeId pe = tree.parent_edge[v];
+    const auto& up =
+        pe == kNoEdge ? no_parts
+                      : shortcut.parts_on_edge[static_cast<std::size_t>(pe)];
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (a < up.size() || b < carried.size()) {
+      RoutingPlan::Entry entry;
+      entry.part = a == up.size()         ? carried[b].first
+                   : b == carried.size()  ? up[a]
+                                          : std::min(up[a], carried[b].first);
+      entry.has_parent = a < up.size() && up[a] == entry.part;
+      if (entry.has_parent) ++a;
+      for (; b < carried.size() && carried[b].first == entry.part; ++b)
+        plan.entry_child.push_back(carried[b].second);
+      if (!entry.has_parent) plan.rooted.push_back(plan.entries.size());
+      plan.entries.push_back(entry);
+      plan.entry_child_begin.push_back(plan.entry_child.size());
+    }
+    plan.entry_begin.push_back(plan.entries.size());
+    plan.rooted_begin.push_back(plan.rooted.size());
+  }
+  return plan;
+}
+
+void attach_root_depths(
+    RoutingPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
+    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge) {
+  for (std::size_t v = 0; v + 1 < plan.entry_begin.size(); ++v) {
+    const EdgeId pe = tree.parent_edge[v];
+    if (pe == kNoEdge) continue;
+    const auto& depths = root_depth_on_edge[static_cast<std::size_t>(pe)];
+    LCS_CHECK(shortcut.parts_on_edge[static_cast<std::size_t>(pe)].size() ==
+                  depths.size(),
+              "root depths misaligned with shortcut");
+    // v's parent entries are exactly the parent edge's parts, in order.
+    std::size_t k = 0;
+    for (std::size_t e = plan.entry_begin[v]; e < plan.entry_begin[v + 1]; ++e)
+      if (plan.entries[e].has_parent)
+        plan.entries[e].parent_root_depth = depths[k++];
+  }
+}
+
+void RoutingScratch::fit(const RoutingPlan& plan) {
+  const std::size_t n = plan.entry_begin.size() - 1;
+  const std::size_t num_entries = plan.entries.size();
+  acc.resize(num_entries);
+  received.resize(num_entries);
+  ready.resize(num_entries);
+  node_queue.resize(num_entries);
+  node_queue_size.resize(n);
+  slot_queue.resize(plan.slot_queue_begin.back());
+  slot_queue_size.resize(plan.slot_edge.size());
+  seq.resize(n);
+}
+
 namespace {
 
 using congest::Context;
 using congest::Incoming;
 using congest::Message;
-
-/// One pending message on a contested edge with its scheduling key.
-struct Pending {
-  std::uint64_t key1 = 0;  // primary priority (smaller first)
-  std::uint64_t key2 = 0;  // tie-break
-  std::uint64_t seq = 0;   // FIFO tie-break / kFifo key
-  PartId j = kNoPart;
-  std::uint64_t value = 0;
-  std::int32_t root_depth = 0;
-
-  bool operator>(const Pending& o) const {
-    if (key1 != o.key1) return key1 > o.key1;
-    if (key2 != o.key2) return key2 > o.key2;
-    return seq > o.seq;
-  }
-};
-
-using PendingQueue =
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>;
+using Pending = RoutingScratch::Pending;
 
 Pending make_pending(RoutingPriority priority, std::uint64_t seq, PartId j,
                      std::uint64_t value, std::int32_t root_depth) {
@@ -63,211 +148,240 @@ Pending make_pending(RoutingPriority priority, std::uint64_t seq, PartId j,
   return p;
 }
 
+/// Min-heap over a fixed region `heap[0, capacity)` of scratch storage.
+void heap_push(Pending* heap, std::size_t& size, std::size_t capacity,
+               const Pending& p) {
+  LCS_CHECK(size < capacity, "routing queue region overflow");
+  heap[size++] = p;
+  std::push_heap(heap, heap + size, std::greater<>());
+}
+
+Pending heap_pop(Pending* heap, std::size_t& size) {
+  std::pop_heap(heap, heap + size, std::greater<>());
+  return heap[--size];
+}
+
+// Each phase is one Process object serving every node: node v's state is
+// v's regions of the plan and scratch, found through ctx.id().
+
+void check_plan_fits(const congest::Network& net, const RoutingPlan& plan) {
+  LCS_CHECK(plan.entry_begin.size() ==
+                static_cast<std::size_t>(net.num_nodes()) + 1,
+            "routing plan was compiled for another network");
+}
+
 // ---------------------------------------------------------------------------
 // Broadcast (root -> component)
 // ---------------------------------------------------------------------------
 
-class BroadcastProcess final : public congest::Process {
+class BroadcastPhase final : public congest::Process {
  public:
-  BroadcastProcess(
-      NodeId id, const SpanningTree& tree, const Shortcut& shortcut,
+  BroadcastPhase(
+      const SpanningTree& tree, const RoutingPlan& plan,
+      RoutingScratch& scratch,
       const std::function<std::uint64_t(NodeId, PartId)>& root_value,
       const std::function<void(NodeId, PartId, std::uint64_t, std::int32_t)>&
           on_receive,
       RoutingPriority priority)
-      : id_(id),
-        tree_(tree),
-        shortcut_(shortcut),
+      : tree_(tree),
+        plan_(plan),
+        s_(scratch),
         root_value_(root_value),
         on_receive_(on_receive),
         priority_(priority) {}
 
   void on_start(Context& ctx) override {
-    // Components rooted here: ids on child edges that are absent from the
-    // parent edge (or the node is the tree root).
-    const EdgeId pe = tree_.parent_edge[static_cast<std::size_t>(id_)];
-    std::vector<PartId> rooted;
-    for (const EdgeId ce :
-         tree_.children_edges[static_cast<std::size_t>(id_)]) {
-      for (const PartId j :
-           shortcut_.parts_on_edge[static_cast<std::size_t>(ce)]) {
-        if (pe == kNoEdge || !shortcut_.edge_used_by(pe, j))
-          rooted.push_back(j);
-      }
-    }
-    std::sort(rooted.begin(), rooted.end());
-    rooted.erase(std::unique(rooted.begin(), rooted.end()), rooted.end());
-
-    const std::int32_t my_depth = tree_.depth[static_cast<std::size_t>(id_)];
-    for (const PartId j : rooted) {
-      const std::uint64_t value = root_value_(id_, j);
-      on_receive_(id_, j, value, my_depth);
-      enqueue_down(j, value, my_depth);
+    const NodeId v = ctx.id();
+    const auto vi = static_cast<std::size_t>(v);
+    s_.seq[vi] = 0;
+    for (std::size_t s = plan_.slot_begin[vi]; s < plan_.slot_begin[vi + 1];
+         ++s)
+      s_.slot_queue_size[s] = 0;
+    const std::int32_t my_depth = tree_.depth[vi];
+    for (std::size_t r = plan_.rooted_begin[vi]; r < plan_.rooted_begin[vi + 1];
+         ++r) {
+      const std::size_t e = plan_.rooted[r];
+      const PartId j = plan_.entries[e].part;
+      const std::uint64_t value = root_value_(v, j);
+      on_receive_(v, j, value, my_depth);
+      enqueue_down(vi, e, value, my_depth);
     }
     flush(ctx);
   }
 
   void on_round(Context& ctx, std::span<const Incoming> inbox) override {
+    const NodeId v = ctx.id();
     for (const auto& in : inbox) {
       const auto j = util::checked_cast<PartId>(in.msg.words[0]);
       const std::uint64_t value = in.msg.words[1];
       const auto rd = util::checked_cast<std::int32_t>(in.msg.words[2]);
-      on_receive_(id_, j, value, rd);
-      enqueue_down(j, value, rd);
+      on_receive_(v, j, value, rd);
+      enqueue_down(static_cast<std::size_t>(v), plan_.find_entry(v, j), value,
+                   rd);
     }
     flush(ctx);
   }
 
  private:
-  void enqueue_down(PartId j, std::uint64_t value, std::int32_t root_depth) {
-    for (const EdgeId ce :
-         tree_.children_edges[static_cast<std::size_t>(id_)]) {
-      if (shortcut_.edge_used_by(ce, j)) {
-        queues_[ce].push(make_pending(priority_, seq_++, j, value, root_depth));
-      }
+  void enqueue_down(std::size_t v, std::size_t e, std::uint64_t value,
+                    std::int32_t root_depth) {
+    const PartId j = plan_.entries[e].part;
+    for (std::size_t c = plan_.entry_child_begin[e];
+         c < plan_.entry_child_begin[e + 1]; ++c) {
+      const std::size_t s = plan_.entry_child[c];
+      const std::size_t base = plan_.slot_queue_begin[s];
+      heap_push(s_.slot_queue.data() + base, s_.slot_queue_size[s],
+                plan_.slot_queue_begin[s + 1] - base,
+                make_pending(priority_, s_.seq[v]++, j, value, root_depth));
     }
   }
 
+  // One message per child slot per round, slots in edge-id order.
   void flush(Context& ctx) {
+    const auto v = static_cast<std::size_t>(ctx.id());
     bool more = false;
-    for (auto& [edge, queue] : queues_) {
-      if (queue.empty()) continue;
-      const Pending top = queue.top();
-      queue.pop();
-      ctx.send(edge, Message(0, static_cast<std::uint64_t>(top.j), top.value,
-                             static_cast<std::uint64_t>(top.root_depth)));
-      if (!queue.empty()) more = true;
+    for (std::size_t s = plan_.slot_begin[v]; s < plan_.slot_begin[v + 1];
+         ++s) {
+      std::size_t& size = s_.slot_queue_size[s];
+      if (size == 0) continue;
+      const Pending top =
+          heap_pop(s_.slot_queue.data() + plan_.slot_queue_begin[s], size);
+      ctx.send(plan_.slot_edge[s],
+               Message(0, static_cast<std::uint64_t>(top.j), top.value,
+                       static_cast<std::uint64_t>(top.root_depth)));
+      if (size > 0) more = true;
     }
     if (more) ctx.wake_next_round();
   }
 
-  NodeId id_;
   const SpanningTree& tree_;
-  const Shortcut& shortcut_;
+  const RoutingPlan& plan_;
+  RoutingScratch& s_;
   const std::function<std::uint64_t(NodeId, PartId)>& root_value_;
   const std::function<void(NodeId, PartId, std::uint64_t, std::int32_t)>&
       on_receive_;
   RoutingPriority priority_;
-  // Ordered by EdgeId: flush() walks this map, so its iteration order is
-  // the per-round send order across contested edges and must be a program
-  // order, not a hash order.
-  std::map<EdgeId, PendingQueue> queues_;
-  std::uint64_t seq_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // Convergecast (component -> root)
 // ---------------------------------------------------------------------------
 
-class ConvergecastProcess final : public congest::Process {
+class ConvergecastPhase final : public congest::Process {
  public:
-  ConvergecastProcess(
-      NodeId id, const SpanningTree& tree, const Shortcut& shortcut,
-      const std::vector<std::vector<std::int32_t>>& root_depth_on_edge,
+  ConvergecastPhase(
+      const SpanningTree& tree, const RoutingPlan& plan,
+      RoutingScratch& scratch,
       const std::function<std::uint64_t(NodeId, PartId)>& contribution,
       const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>&
           combine,
       const std::function<void(NodeId, PartId, std::uint64_t)>& on_root_result,
       RoutingPriority priority)
-      : id_(id),
-        tree_(tree),
-        shortcut_(shortcut),
-        root_depth_on_edge_(root_depth_on_edge),
+      : tree_(tree),
+        plan_(plan),
+        s_(scratch),
         contribution_(contribution),
         combine_(combine),
         on_root_result_(on_root_result),
         priority_(priority) {}
 
   void on_start(Context& ctx) override {
-    const auto me = static_cast<std::size_t>(id_);
-    const EdgeId pe = tree_.parent_edge[me];
-
-    // Gather the component ids this node participates in and the number of
-    // child edges carrying each.
-    for (const EdgeId ce : tree_.children_edges[me]) {
-      for (const PartId j :
-           shortcut_.parts_on_edge[static_cast<std::size_t>(ce)])
-        ++state_[j].expected;
+    const NodeId v = ctx.id();
+    const auto vi = static_cast<std::size_t>(v);
+    s_.seq[vi] = 0;
+    s_.node_queue_size[vi] = 0;
+    // Leaves of a component (no child edge carries the part) are ready at
+    // once; in entry order, which is part order.
+    for (std::size_t e = plan_.entry_begin[vi]; e < plan_.entry_begin[vi + 1];
+         ++e) {
+      s_.acc[e] = contribution_(v, plan_.entries[e].part);
+      s_.received[e] = 0;
+      if (plan_.expected(e) == 0) dispatch(v, e);
     }
-    if (pe != kNoEdge) {
-      const auto& list = shortcut_.parts_on_edge[static_cast<std::size_t>(pe)];
-      const auto& depths =
-          root_depth_on_edge_[static_cast<std::size_t>(pe)];
-      LCS_CHECK(list.size() == depths.size(),
-                "root depths misaligned with shortcut");
-      for (std::size_t k = 0; k < list.size(); ++k) {
-        auto& st = state_[list[k]];
-        st.has_parent = true;
-        st.parent_root_depth = depths[k];
-      }
-    }
-    for (auto& [j, st] : state_) st.acc = contribution_(id_, j);
-
-    check_ready(ctx);
     flush(ctx);
   }
 
   void on_round(Context& ctx, std::span<const Incoming> inbox) override {
+    const NodeId v = ctx.id();
+    // Entries completed by this round's messages collect in v's own range
+    // of `ready`, then dispatch in part order (the kFifo contract).
+    std::size_t* ready =
+        s_.ready.data() + plan_.entry_begin[static_cast<std::size_t>(v)];
+    std::size_t num_ready = 0;
     for (const auto& in : inbox) {
-      const auto j = util::checked_cast<PartId>(in.msg.words[0]);
-      auto it = state_.find(j);
-      LCS_CHECK(it != state_.end(), "convergecast message for unknown id");
-      it->second.acc = combine_(it->second.acc, in.msg.words[1]);
-      ++it->second.received;
+      const std::size_t e =
+          plan_.find_entry(v, util::checked_cast<PartId>(in.msg.words[0]));
+      s_.acc[e] = combine_(s_.acc[e], in.msg.words[1]);
+      if (++s_.received[e] == plan_.expected(e)) ready[num_ready++] = e;
     }
-    check_ready(ctx);
+    std::sort(ready, ready + num_ready);
+    for (std::size_t i = 0; i < num_ready; ++i) dispatch(v, ready[i]);
     flush(ctx);
   }
 
  private:
-  struct CompState {
-    int expected = 0;
-    int received = 0;
-    bool has_parent = false;
-    bool dispatched = false;
-    std::int32_t parent_root_depth = 0;
-    std::uint64_t acc = 0;
-  };
-
-  void check_ready(Context&) {
-    for (auto& [j, st] : state_) {
-      if (st.dispatched || st.received < st.expected) continue;
-      st.dispatched = true;
-      if (st.has_parent) {
-        queue_.push(
-            make_pending(priority_, seq_++, j, st.acc, st.parent_root_depth));
-      } else {
-        on_root_result_(id_, j, st.acc);
-      }
+  void dispatch(NodeId v, std::size_t e) {
+    const RoutingPlan::Entry& entry = plan_.entries[e];
+    if (!entry.has_parent) {
+      on_root_result_(v, entry.part, s_.acc[e]);
+      return;
     }
+    const auto vi = static_cast<std::size_t>(v);
+    const std::size_t base = plan_.entry_begin[vi];
+    heap_push(s_.node_queue.data() + base, s_.node_queue_size[vi],
+              plan_.entry_begin[vi + 1] - base,
+              make_pending(priority_, s_.seq[vi]++, entry.part, s_.acc[e],
+                           entry.parent_root_depth));
   }
 
   void flush(Context& ctx) {
-    if (queue_.empty()) return;
-    const Pending top = queue_.top();
-    queue_.pop();
-    ctx.send(tree_.parent_edge[static_cast<std::size_t>(id_)],
+    const auto v = static_cast<std::size_t>(ctx.id());
+    std::size_t& size = s_.node_queue_size[v];
+    if (size == 0) return;
+    const Pending top =
+        heap_pop(s_.node_queue.data() + plan_.entry_begin[v], size);
+    ctx.send(tree_.parent_edge[v],
              Message(0, static_cast<std::uint64_t>(top.j), top.value));
-    if (!queue_.empty()) ctx.wake_next_round();
+    if (size > 0) ctx.wake_next_round();
   }
 
-  NodeId id_;
   const SpanningTree& tree_;
-  const Shortcut& shortcut_;
-  const std::vector<std::vector<std::int32_t>>& root_depth_on_edge_;
+  const RoutingPlan& plan_;
+  RoutingScratch& s_;
   const std::function<std::uint64_t(NodeId, PartId)>& contribution_;
   const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine_;
   const std::function<void(NodeId, PartId, std::uint64_t)>& on_root_result_;
   RoutingPriority priority_;
-  // Ordered by PartId: check_ready() walks this map assigning seq_ — the
-  // kFifo scheduling key — so simultaneously-ready components must
-  // dispatch in part order, not hash order.
-  std::map<PartId, CompState> state_;
-  PendingQueue queue_;
-  std::uint64_t seq_ = 0;
 };
 
 }  // namespace
+
+congest::PhaseStats run_component_broadcast(
+    congest::Network& net, const SpanningTree& tree, const RoutingPlan& plan,
+    RoutingScratch& scratch,
+    const std::function<std::uint64_t(NodeId, PartId)>& root_value,
+    const std::function<void(NodeId, PartId, std::uint64_t, std::int32_t)>&
+        on_receive,
+    RoutingPriority priority) {
+  check_plan_fits(net, plan);
+  scratch.fit(plan);
+  BroadcastPhase phase(tree, plan, scratch, root_value, on_receive, priority);
+  return congest::run_phase_shared(net, phase);
+}
+
+congest::PhaseStats run_component_convergecast(
+    congest::Network& net, const SpanningTree& tree, const RoutingPlan& plan,
+    RoutingScratch& scratch,
+    const std::function<std::uint64_t(NodeId, PartId)>& contribution,
+    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
+    const std::function<void(NodeId, PartId, std::uint64_t)>& on_root_result,
+    RoutingPriority priority) {
+  check_plan_fits(net, plan);
+  scratch.fit(plan);
+  ConvergecastPhase phase(tree, plan, scratch, contribution, combine,
+                          on_root_result, priority);
+  return congest::run_phase_shared(net, phase);
+}
 
 congest::PhaseStats run_component_broadcast(
     congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
@@ -275,11 +389,10 @@ congest::PhaseStats run_component_broadcast(
     const std::function<void(NodeId, PartId, std::uint64_t, std::int32_t)>&
         on_receive,
     RoutingPriority priority) {
-  std::vector<BroadcastProcess> procs;
-  procs.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    procs.emplace_back(v, tree, shortcut, root_value, on_receive, priority);
-  return congest::run_phase(net, procs);
+  const RoutingPlan plan = compile_routing_plan(tree, shortcut);
+  RoutingScratch scratch;
+  return run_component_broadcast(net, tree, plan, scratch, root_value,
+                                 on_receive, priority);
 }
 
 congest::PhaseStats run_component_convergecast(
@@ -289,12 +402,11 @@ congest::PhaseStats run_component_convergecast(
     const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
     const std::function<void(NodeId, PartId, std::uint64_t)>& on_root_result,
     RoutingPriority priority) {
-  std::vector<ConvergecastProcess> procs;
-  procs.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    procs.emplace_back(v, tree, shortcut, root_depth_on_edge, contribution,
-                       combine, on_root_result, priority);
-  return congest::run_phase(net, procs);
+  RoutingPlan plan = compile_routing_plan(tree, shortcut);
+  attach_root_depths(plan, tree, shortcut, root_depth_on_edge);
+  RoutingScratch scratch;
+  return run_component_convergecast(net, tree, plan, scratch, contribution,
+                                    combine, on_root_result, priority);
 }
 
 }  // namespace lcs

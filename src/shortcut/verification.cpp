@@ -64,6 +64,7 @@ VerificationResult verify_block_parameter(congest::Network& net,
   }
 
   const auto u64 = [](NodeId v) { return static_cast<std::size_t>(v); };
+  SuperstepScratch scratch;  // reused by every superstep below
 
   // --- Phase V1: leader min-flood over the supergraph --------------------
   {
@@ -85,7 +86,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
       lead[u64(v)] = std::min(lead[u64(v)], value);
     };
     for (std::int32_t step = 0; step < b_limit; ++step)
-      run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+      run_superstep(net, tree, partition, state, neighbor_parts, hooks,
+                    scratch);
   }
 
   // --- Phase V2: BFS depths from self-believed leader supernodes ---------
@@ -125,7 +127,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
     for (std::int32_t step = 0; step < b_limit; ++step) {
       std::fill(best_cand.begin(), best_cand.end(),
                 static_cast<std::uint64_t>(kInfDepth));
-      run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+      run_superstep(net, tree, partition, state, neighbor_parts, hooks,
+                    scratch);
     }
   }
 
@@ -162,7 +165,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
     hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j)) parent_choice[u64(v)] = agg;
     };
-    run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+    run_superstep(net, tree, partition, state, neighbor_parts, hooks,
+                  scratch);
   }
 
   // --- Phase V3: count supernodes up the super-BFS tree ------------------
@@ -180,7 +184,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
 
     // V3.0: aggregate-only superstep so the deepest components know their
     // own flag totals before sending.
-    run_superstep(net, tree, partition, state, neighbor_parts, sum_hooks);
+    run_superstep(net, tree, partition, state, neighbor_parts, sum_hooks,
+                  scratch);
 
     for (std::int32_t tau = b_limit; tau >= 1; --tau) {
       SuperstepHooks hooks = sum_hooks;
@@ -197,7 +202,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
       hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
         pending_in[u64(v)] = sat_add(pending_in[u64(v)], value);
       };
-      run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+      run_superstep(net, tree, partition, state, neighbor_parts, hooks,
+                    scratch);
     }
   }
 
@@ -234,7 +240,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
       if (is_member(v, j)) verdict[u64(v)] = std::max(verdict[u64(v)], agg);
     };
     for (std::int32_t step = 0; step < b_limit; ++step)
-      run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+      run_superstep(net, tree, partition, state, neighbor_parts, hooks,
+                    scratch);
   }
 
   // --- Local decisions ----------------------------------------------------

@@ -23,6 +23,19 @@ TEST(Graph, BasicAdjacency) {
   EXPECT_EQ(g.total_weight(), 22u);
 }
 
+TEST(Graph, NeighborsAscendByEdgeId) {
+  const Graph g = make_erdos_renyi(200, 0.1, 3);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nbs = g.neighbors(v);
+    EXPECT_TRUE(std::is_sorted(nbs.begin(), nbs.end(),
+                               [](const Graph::Neighbor& a,
+                                  const Graph::Neighbor& b) {
+                                 return a.edge < b.edge;
+                               }))
+        << "node " << v;
+  }
+}
+
 TEST(Graph, NormalizesEndpointOrder) {
   Graph g(3, {{2, 0, 1}});
   EXPECT_EQ(g.edge(0).u, 0);

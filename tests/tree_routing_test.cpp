@@ -133,13 +133,13 @@ TEST(TreeRouting, ConvergecastMinFindsComponentMinimum) {
 }
 
 TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
-  // Regression test: ConvergecastProcess assigns the kFifo scheduling key
-  // (seq_) by walking its per-component state map when several components
-  // become ready in the same round, so that walk is part of the observable
-  // schedule. It used to be an unordered_map, whose iteration order is a
-  // standard-library artifact — reproducible on one platform, different on
-  // another. Pin the contract: simultaneously-ready components dispatch in
-  // ascending PartId order.
+  // Regression test: the convergecast assigns the kFifo scheduling key (a
+  // per-node sequence number) in the order in which components that become
+  // ready in the same round are dispatched, so that order is part of the
+  // observable schedule. It once came from walking an unordered_map, whose
+  // iteration order is a standard-library artifact — reproducible on one
+  // platform, different on another. Pin the contract: simultaneously-ready
+  // components dispatch in ascending PartId order.
   const Graph g = make_path(3);  // 0 - 1 - 2, rooted at 0
   Sim setup(g);
   constexpr PartId kParts = 10;
