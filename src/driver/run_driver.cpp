@@ -92,6 +92,15 @@ struct RunReport {
   std::function<void(JsonWriter&)> validation;
 };
 
+/// What a cell body hands the envelope (run_one): the report sections
+/// between the header and "validation", the validation verdict, and the
+/// engine's thread count for the timing block (-1 = no engine ran).
+struct Cell {
+  std::function<void(JsonWriter&)> sections;
+  RunReport rep;  ///< only the validation fields are read by run_one
+  int engine_threads = -1;
+};
+
 RunReport run_components(congest::Network& net, const SpanningTree& tree,
                          const scenario::Scenario& sc, const RunOptions& o) {
   LCS_CHECK(o.fail_rate >= 0.0 && o.fail_rate < 1.0,
@@ -280,7 +289,7 @@ ShortcutRunRecord build_shortcut_record(congest::Network& net,
 /// function of the record and the scenario, so the response bytes cannot
 /// depend on which path produced the record. The shared quality block
 /// (congestion, block parameter, dilation estimate — plus the rounds and
-/// messages appended by run_one) uses identical keys for every backend;
+/// messages appended by algo_cell) uses identical keys for every backend;
 /// only the construction-specific prefix differs, so backend cells line up
 /// in sweeps and the comparison table.
 RunReport shortcut_report(const ShortcutRunRecord& rec,
@@ -349,16 +358,13 @@ void emit_quality(JsonWriter& w, const ForestQuality& q) {
 }
 
 /// `--algo=churn`: resolve the base scenario, drive it through the verified
-/// churn stream, and emit one report object with a per-checkpoint array.
+/// churn stream, and report it with a per-checkpoint array.
 /// The churn run itself is centralized (thread-invariant by construction);
 /// under --validate the final snapshot is additionally solved by the
 /// distributed engine (at --threads) and cross-checked against the
 /// incrementally maintained forest, so the threads-1/2/4 golden gate
 /// exercises a real engine run too.
-int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
-  // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
-  const auto t0 = std::chrono::steady_clock::now();
-
+Cell churn_cell(const RunOptions& o, const RunHooks& hooks) {
   // The wrapper spec and the --churn flag are two spellings of the same
   // thing; accept either, not both.
   dynamic::ChurnSpec churn;
@@ -376,18 +382,15 @@ int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
   const scenario::Scenario& sc = *sc_ptr;
   if (!o.save_graph_path.empty()) save_binary(sc.graph, o.save_graph_path);
 
-  const dynamic::ChurnResult res =
+  dynamic::ChurnResult res =
       dynamic::run_churn(sc.graph, sc.partition.part_of, churn.params);
 
   // Engine cross-check: the distributed MST over the final snapshot must
   // reproduce the maintained forest (weight and exact edge set, matched by
   // sequence number through the snapshot's edge-id order).
-  bool validated = false;
-  bool ok = true;
-  std::function<void(JsonWriter&)> validation;
-  int engine_threads = -1;
+  Cell cell;
   if (o.validate) {
-    validated = true;
+    cell.rep.validated = true;
     const dynamic::DynamicGraph::Snapshot& snap = *res.final_snapshot;
     if (is_connected(snap.graph)) {
       congest::Network net(snap.graph);
@@ -399,7 +402,7 @@ int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
       ShortcutMstOptions opts;
       opts.seed = o.seed;
       const DistributedMst mst = mst_boruvka_shortcut(net, tree, opts);
-      engine_threads = net.threads();
+      cell.engine_threads = net.threads();
 
       std::vector<std::uint64_t> engine_seqs;
       engine_seqs.reserve(mst.edges.size());
@@ -414,124 +417,97 @@ int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
         maintained_seqs.push_back(snap.seq[e]);
         maintained_weight += snap.graph.edge(util::checked_cast<EdgeId>(e)).w;
       }
-      ok = mst.total_weight == maintained_weight &&
-           engine_seqs == maintained_seqs;
+      const bool ok = mst.total_weight == maintained_weight &&
+                      engine_seqs == maintained_seqs;
+      cell.rep.ok = ok;
       const Weight w_engine = mst.total_weight;
-      const bool c_ok = ok;
-      validation = [w_engine, maintained_weight, c_ok](JsonWriter& w) {
+      cell.rep.validation = [w_engine, maintained_weight, ok](JsonWriter& w) {
         w.kv("oracle", "distributed Boruvka MST over the final snapshot");
         w.kv("oracle_weight", w_engine);
         w.kv("maintained_weight", maintained_weight);
-        w.kv("edges_match", c_ok);
+        w.kv("edges_match", ok);
       };
     } else {
-      validation = [](JsonWriter& w) {
+      cell.rep.validation = [](JsonWriter& w) {
         w.kv("oracle",
              "skipped (final snapshot disconnected; per-checkpoint "
              "incremental-vs-oracle checks still ran)");
       };
     }
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             // lcs-lint: allow(D2) wall_ms report field: explicitly timed
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
 
-  w.begin_object();
-  w.kv("schema", std::int64_t{1});
-  w.kv("algorithm", o.algo);
-
-  w.key("scenario").begin_object();
-  w.kv("spec", o.scenario);
-  w.kv("family", "churn");
-  w.key("base").begin_object();
-  w.kv("spec", sc.spec);
-  w.kv("family", sc.family);
-  w.kv("nodes", sc.graph.num_nodes());
-  w.kv("edges", sc.graph.num_edges());
-  w.kv("total_weight", sc.graph.total_weight());
-  w.kv("parts", sc.partition.num_parts);
-  if (o.metrics) {
-    w.kv("diameter_lb", diameter_double_sweep(sc.graph));
-    w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
-  }
-  w.end_object();
-  w.end_object();
-
-  w.key("config").begin_object();
-  w.kv("seed", o.seed);
-  w.kv("validate", o.validate);
-  w.end_object();
-
-  const dynamic::ChurnParams& p = churn.params;
-  w.key("churn").begin_object();
-  w.kv("steps", p.steps);
-  w.kv("rate", p.rate);
-  w.kv("dfrac", p.delete_frac);
-  w.kv("seed", p.seed);
-  w.kv("weight_lo", p.weight_lo);
-  w.kv("weight_hi", p.weight_hi);
-  w.kv("verify", verify_mode_name(p.verify));
-  if (p.verify == dynamic::VerifyMode::kSampled)
-    w.kv("vperiod", p.verify_period);
-  w.kv("ops_per_step", res.ops_per_step);
-  w.kv("skipped_inserts", res.skipped_inserts);
-  w.kv("skipped_deletes", res.skipped_deletes);
-  w.end_object();
-
-  w.key("checkpoints").begin_array();
-  for (const dynamic::ChurnCheckpoint& cp : res.checkpoints) {
-    w.begin_object();
-    w.kv("step", cp.step);
-    w.kv("edges", cp.edges);
-    w.kv("components", cp.components);
-    w.kv("msf_weight", cp.msf_weight);
-    w.kv("msf_edges", cp.msf_edges);
-    w.key("quality").begin_object();
-    w.key("maintained").begin_object();
-    emit_quality(w, cp.maintained);
-    w.end_object();
-    w.key("fresh").begin_object();
-    emit_quality(w, cp.fresh);
+  cell.sections = [&o, sc_ptr, p = churn.params,
+                   res = std::move(res)](JsonWriter& w) {
+    const scenario::Scenario& sc = *sc_ptr;
+    w.key("scenario").begin_object();
+    w.kv("spec", o.scenario);
+    w.kv("family", "churn");
+    w.key("base").begin_object();
+    w.kv("spec", sc.spec);
+    w.kv("family", sc.family);
+    w.kv("nodes", sc.graph.num_nodes());
+    w.kv("edges", sc.graph.num_edges());
+    w.kv("total_weight", sc.graph.total_weight());
+    w.kv("parts", sc.partition.num_parts);
+    if (o.metrics) {
+      w.kv("diameter_lb", diameter_double_sweep(sc.graph));
+      w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
+    }
     w.end_object();
     w.end_object();
-    w.key("counters").begin_object();
-    w.kv("inserts", cp.counters.inserts);
-    w.kv("deletes", cp.counters.deletes);
-    w.kv("msf_grows", cp.counters.msf_grows);
-    w.kv("msf_swaps", cp.counters.msf_swaps);
-    w.kv("msf_replacements", cp.counters.msf_replacements);
-    w.kv("msf_splits", cp.counters.msf_splits);
-    w.kv("uf_rebuilds", cp.counters.uf_rebuilds);
-    w.kv("uf_unions", cp.counters.uf_unions);
-    w.end_object();
-    w.kv("full_verifications", cp.full_verifications);
-    w.end_object();
-  }
-  w.end_array();
 
-  w.key("validation").begin_object();
-  w.kv("checked", validated);
-  if (validated) {
-    w.kv("ok", ok);
-    if (validation) validation(w);
-  }
-  w.end_object();
-
-  if (o.timing) {
-    w.key("timing").begin_object();
-    if (engine_threads >= 0) w.kv("threads", engine_threads);
-    w.kv("wall_ms", wall_ms);
+    w.key("config").begin_object();
+    w.kv("seed", o.seed);
+    w.kv("validate", o.validate);
     w.end_object();
-  }
-  w.end_object();
 
-  if (validated && !ok) {
-    std::cerr << "VALIDATION FAILED for --algo=churn --scenario=" << o.scenario
-              << "\n";
-    return 1;
-  }
-  return 0;
+    w.key("churn").begin_object();
+    w.kv("steps", p.steps);
+    w.kv("rate", p.rate);
+    w.kv("dfrac", p.delete_frac);
+    w.kv("seed", p.seed);
+    w.kv("weight_lo", p.weight_lo);
+    w.kv("weight_hi", p.weight_hi);
+    w.kv("verify", verify_mode_name(p.verify));
+    if (p.verify == dynamic::VerifyMode::kSampled)
+      w.kv("vperiod", p.verify_period);
+    w.kv("ops_per_step", res.ops_per_step);
+    w.kv("skipped_inserts", res.skipped_inserts);
+    w.kv("skipped_deletes", res.skipped_deletes);
+    w.end_object();
+
+    w.key("checkpoints").begin_array();
+    for (const dynamic::ChurnCheckpoint& cp : res.checkpoints) {
+      w.begin_object();
+      w.kv("step", cp.step);
+      w.kv("edges", cp.edges);
+      w.kv("components", cp.components);
+      w.kv("msf_weight", cp.msf_weight);
+      w.kv("msf_edges", cp.msf_edges);
+      w.key("quality").begin_object();
+      w.key("maintained").begin_object();
+      emit_quality(w, cp.maintained);
+      w.end_object();
+      w.key("fresh").begin_object();
+      emit_quality(w, cp.fresh);
+      w.end_object();
+      w.end_object();
+      w.key("counters").begin_object();
+      w.kv("inserts", cp.counters.inserts);
+      w.kv("deletes", cp.counters.deletes);
+      w.kv("msf_grows", cp.counters.msf_grows);
+      w.kv("msf_swaps", cp.counters.msf_swaps);
+      w.kv("msf_replacements", cp.counters.msf_replacements);
+      w.kv("msf_splits", cp.counters.msf_splits);
+      w.kv("uf_rebuilds", cp.counters.uf_rebuilds);
+      w.kv("uf_unions", cp.counters.uf_unions);
+      w.end_object();
+      w.kv("full_verifications", cp.full_verifications);
+      w.end_object();
+    }
+    w.end_array();
+  };
+  return cell;
 }
 
 // ------------------------------------------------------------------ sweep --
@@ -693,13 +669,10 @@ std::string spec_with_param(const std::string& spec, const std::string& key,
   return out;
 }
 
-/// Runs one (algo, scenario) cell and emits its report object into `w`.
-/// Returns 0, or 1 when --validate found a mismatch.
-int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
-  if (o.algo == "churn") return run_churn_cell(o, hooks, w);
-
-  // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
-  const auto t0 = std::chrono::steady_clock::now();
+/// Every algorithm but churn: resolve the scenario, run the algorithm on a
+/// fresh engine (or render a cached shortcut record), and report the
+/// scenario, config, and engine accounting sections.
+Cell algo_cell(const RunOptions& o, const RunHooks& hooks) {
   const std::shared_ptr<const scenario::Scenario> sc_ptr =
       resolve_scenario(hooks, o.scenario);
   const scenario::Scenario& sc = *sc_ptr;
@@ -796,57 +769,80 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
       charges.emplace_back(label, rounds);
     engine_threads = net->threads();
   }
-  const double wall_ms =
-      // lcs-lint: allow(D2) wall_ms report field: explicitly timed
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
+
+  Cell cell;
+  if (have_engine) cell.engine_threads = engine_threads;
+  cell.sections = [&o, sc_ptr, backend_name, have_engine, setup_rounds,
+                   setup_messages, algo_rounds, algo_messages,
+                   charges = std::move(charges),
+                   result = rep.result](JsonWriter& w) {
+    const scenario::Scenario& sc = *sc_ptr;
+    w.key("scenario").begin_object();
+    w.kv("spec", sc.spec);
+    w.kv("family", sc.family);
+    w.kv("nodes", sc.graph.num_nodes());
+    w.kv("edges", sc.graph.num_edges());
+    w.kv("total_weight", sc.graph.total_weight());
+    w.kv("parts", sc.partition.num_parts);
+    // Both metrics below are BFS sweeps over the whole graph — priced like
+    // the oracles, so large-n runs only pay for them on request.
+    if (o.metrics) {
+      w.kv("diameter_lb", diameter_double_sweep(sc.graph));
+      w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
+    }
+    w.end_object();
+
+    w.key("config").begin_object();
+    w.kv("seed", o.seed);
+    // Only non-default backends mark the report: default-backend documents
+    // stay byte-identical to the pre-registry pipeline (the golden contract).
+    if (o.algo == "shortcut" && backend_name != backend::kDefaultBackend)
+      w.kv("backend", backend_name);
+    w.kv("validate", o.validate);
+    if (o.algo == "components") w.kv("fail_rate", o.fail_rate);
+    w.end_object();
+
+    if (have_engine) {
+      w.key("setup").begin_object();
+      w.kv("rounds", setup_rounds);
+      w.kv("messages", setup_messages);
+      w.end_object();
+
+      w.key("result").begin_object();
+      result(w);
+      w.kv("rounds", algo_rounds);
+      w.kv("messages", algo_messages);
+      w.end_object();
+
+      w.key("charges").begin_object();
+      for (const auto& [label, rounds] : charges) w.kv(label, rounds);
+      w.end_object();
+    }
+  };
+  cell.rep = std::move(rep);
+  return cell;
+}
+
+/// Runs one (algo, scenario) cell and emits its report object into `w`:
+/// times the cell's body (algo_cell or churn_cell) and wraps the Cell it
+/// returns in the envelope every report shares — schema/algorithm header,
+/// validation and timing blocks. Returns 0, or 1 when --validate found a
+/// mismatch (after the VALIDATION FAILED line on stderr).
+int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
+  // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
+  const auto t0 = std::chrono::steady_clock::now();
+  const Cell cell =
+      o.algo == "churn" ? churn_cell(o, hooks) : algo_cell(o, hooks);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             // lcs-lint: allow(D2) wall_ms report field: explicitly timed
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  const RunReport& rep = cell.rep;
 
   w.begin_object();
   w.kv("schema", std::int64_t{1});
   w.kv("algorithm", o.algo);
-
-  w.key("scenario").begin_object();
-  w.kv("spec", sc.spec);
-  w.kv("family", sc.family);
-  w.kv("nodes", sc.graph.num_nodes());
-  w.kv("edges", sc.graph.num_edges());
-  w.kv("total_weight", sc.graph.total_weight());
-  w.kv("parts", sc.partition.num_parts);
-  // Both metrics below are BFS sweeps over the whole graph — priced like
-  // the oracles, so large-n runs only pay for them on request.
-  if (o.metrics) {
-    w.kv("diameter_lb", diameter_double_sweep(sc.graph));
-    w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
-  }
-  w.end_object();
-
-  w.key("config").begin_object();
-  w.kv("seed", o.seed);
-  // Only non-default backends mark the report: default-backend documents
-  // stay byte-identical to the pre-registry pipeline (the golden contract).
-  if (o.algo == "shortcut" && backend_name != backend::kDefaultBackend)
-    w.kv("backend", backend_name);
-  w.kv("validate", o.validate);
-  if (o.algo == "components") w.kv("fail_rate", o.fail_rate);
-  w.end_object();
-
-  if (have_engine) {
-    w.key("setup").begin_object();
-    w.kv("rounds", setup_rounds);
-    w.kv("messages", setup_messages);
-    w.end_object();
-
-    w.key("result").begin_object();
-    rep.result(w);
-    w.kv("rounds", algo_rounds);
-    w.kv("messages", algo_messages);
-    w.end_object();
-
-    w.key("charges").begin_object();
-    for (const auto& [label, rounds] : charges) w.kv(label, rounds);
-    w.end_object();
-  }
+  cell.sections(w);
 
   w.key("validation").begin_object();
   w.kv("checked", rep.validated);
@@ -858,7 +854,7 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
 
   if (o.timing) {
     w.key("timing").begin_object();
-    if (have_engine) w.kv("threads", engine_threads);
+    if (cell.engine_threads >= 0) w.kv("threads", cell.engine_threads);
     w.kv("wall_ms", wall_ms);
     w.end_object();
   }
@@ -878,6 +874,10 @@ int run_document(const RunOptions& o, const RunHooks& hooks,
                  std::string& out) {
   LCS_CHECK(!o.scenario.empty(), "missing --scenario (see --help)");
   LCS_CHECK(!o.algo.empty(), "missing --algo (see --help)");
+  LCS_CHECK(o.threads >= 0 && o.threads <= kMaxThreads,
+            "--threads must be in [0, " + std::to_string(kMaxThreads) +
+                "] (0 = hardware concurrency), got " +
+                std::to_string(o.threads));
   LCS_CHECK(o.sweep.empty() || o.save_graph_path.empty(),
             "--save-graph with --sweep would overwrite the same path at "
             "every point; save single runs instead");

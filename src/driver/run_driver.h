@@ -43,6 +43,14 @@
 
 namespace lcs::driver {
 
+/// Upper bound on a requested thread count: `RunOptions::threads` (checked
+/// by run_document) and lcs_serve's --parallel-requests. Both arrive from
+/// outside the program (a CLI flag, a serve request field) and each unit
+/// is a real OS thread, so without a cap a single request could make the
+/// daemon start arbitrarily many. 256 is 32x the largest count any gate
+/// runs (8).
+inline constexpr int kMaxThreads = 256;
+
 /// One run request: the `lcs_run` flag vocabulary as a struct. Field
 /// semantics and defaults match the flags one-for-one (see lcs_run --help).
 struct RunOptions {
@@ -52,7 +60,7 @@ struct RunOptions {
   std::string churn;            ///< churn parameters for algo "churn"
   std::string sweep;            ///< empty = single run
   std::string save_graph_path;  ///< empty = don't save
-  int threads = 1;
+  int threads = 1;  ///< 0 = hardware concurrency; at most kMaxThreads
   std::int64_t parallel_threshold = -1;  ///< engine default
   std::uint64_t seed = 1;
   double fail_rate = 0.25;  ///< components: failed-edge fraction

@@ -12,10 +12,6 @@
 #include "lint/lexer.h"
 #include "lint/parse.h"
 #include "lint/rules.h"
-#include "util/cast.h"
-#include "util/check.h"
-#include "util/hash.h"
-#include "util/json_reader.h"
 #include "util/json_writer.h"
 
 namespace lcs::lint {
@@ -153,253 +149,6 @@ void sort_findings(std::vector<Finding>* findings) {
             });
 }
 
-std::string to_hex(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[util::checked_usize(i)] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// The cache key half that is not the file content: if the rule set (or
-/// the cache layout) changes, every entry goes stale at once.
-std::string rules_fingerprint() {
-  std::uint64_t h = fnv1a64("lcs-lint-cache-v1");
-  for (const RuleInfo& r : rule_table()) {
-    h = fnv1a64(r.id, h);
-    h = fnv1a64(r.family, h);
-    h = fnv1a64(r.summary, h);
-    h = fnv1a64(r.rationale, h);
-  }
-  return to_hex(h);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache: JSON on disk, keyed by (path, content hash) plus the
-// rule fingerprint. The cached payload is the full FileSummary, so a warm
-// run re-reads bytes (to hash them) but never re-lexes.
-// ---------------------------------------------------------------------------
-
-void write_summary_json(JsonWriter& w, const detail::FileSummary& s) {
-  w.begin_object();
-  w.kv("path", s.path);
-  w.kv("hash", to_hex(s.hash));
-  w.key("includes").begin_array();
-  for (const IncludeDirective& d : s.includes) {
-    w.begin_object();
-    w.kv("t", d.target).kv("l", d.line).kv("c", d.col).kv("a", d.angled);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("decls").begin_array();
-  for (const Decl& d : s.outline.decls) {
-    w.begin_object();
-    w.kv("k", static_cast<std::int64_t>(d.kind));
-    w.kv("n", d.name).kv("ns", d.ns).kv("l", d.line).kv("c", d.col);
-    w.kv("fl", d.file_local).kv("def", d.is_definition);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("macros").begin_array();
-  for (const auto& [name, refs] : s.outline.macro_body_refs) {
-    w.begin_object();
-    w.kv("n", name);
-    w.key("refs").begin_array();
-    for (const std::string& r : refs) w.value(r);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("refs").begin_array();
-  for (const Ref& r : s.refs) {
-    w.begin_object();
-    w.kv("n", r.name).kv("l", r.line).kv("c", r.col).kv("x", r.count);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("findings").begin_array();
-  for (const Finding& f : s.raw_findings) {
-    w.begin_object();
-    w.kv("l", f.line).kv("c", f.col).kv("r", f.rule);
-    w.kv("m", f.message).kv("h", f.hint);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("sups").begin_array();
-  for (const detail::SuppressionRec& sup : s.sups) {
-    w.begin_object();
-    w.kv("l", sup.line).kv("c", sup.col).kv("tl", sup.target_line);
-    w.key("rules").begin_array();
-    for (const std::string& r : sup.rules) w.value(r);
-    w.end_array();
-    w.kv("reason", sup.reason).kv("mal", sup.malformed);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-int get_int(const JsonValue& v, std::string_view key, const char* what) {
-  const JsonValue* f = v.find(key, what);
-  LCS_CHECK(f != nullptr, what);
-  return util::checked_cast<int>(f->as_int(what));
-}
-const std::string& get_str(const JsonValue& v, std::string_view key,
-                           const char* what) {
-  const JsonValue* f = v.find(key, what);
-  LCS_CHECK(f != nullptr, what);
-  return f->as_string(what);
-}
-bool get_bool(const JsonValue& v, std::string_view key, const char* what) {
-  const JsonValue* f = v.find(key, what);
-  LCS_CHECK(f != nullptr, what);
-  return f->as_bool(what);
-}
-
-std::uint64_t from_hex(const std::string& s) {
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= util::checked_usize(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= util::checked_usize(c - 'a' + 10);
-    else LCS_CHECK(false, "bad hex digit in lint cache");
-  }
-  return v;
-}
-
-detail::FileSummary read_summary_json(const JsonValue& v) {
-  static const char* kW = "lint cache entry";
-  detail::FileSummary s;
-  s.path = get_str(v, "path", kW);
-  s.hash = from_hex(get_str(v, "hash", kW));
-  const JsonValue* inc = v.find("includes", kW);
-  LCS_CHECK(inc != nullptr, kW);
-  for (const JsonValue& e : inc->as_array(kW)) {
-    IncludeDirective d;
-    d.target = get_str(e, "t", kW);
-    d.line = get_int(e, "l", kW);
-    d.col = get_int(e, "c", kW);
-    d.angled = get_bool(e, "a", kW);
-    s.includes.push_back(std::move(d));
-  }
-  const JsonValue* decls = v.find("decls", kW);
-  LCS_CHECK(decls != nullptr, kW);
-  for (const JsonValue& e : decls->as_array(kW)) {
-    Decl d;
-    const int k = get_int(e, "k", kW);
-    LCS_CHECK(k >= 0 && k <= 5, "bad decl kind in lint cache");  // 5 = kMacro
-    d.kind = static_cast<DeclKind>(k);
-    d.name = get_str(e, "n", kW);
-    d.ns = get_str(e, "ns", kW);
-    d.line = get_int(e, "l", kW);
-    d.col = get_int(e, "c", kW);
-    d.file_local = get_bool(e, "fl", kW);
-    d.is_definition = get_bool(e, "def", kW);
-    s.outline.decls.push_back(std::move(d));
-  }
-  const JsonValue* macros = v.find("macros", kW);
-  LCS_CHECK(macros != nullptr, kW);
-  for (const JsonValue& e : macros->as_array(kW)) {
-    std::vector<std::string> refs;
-    const JsonValue* rs = e.find("refs", kW);
-    LCS_CHECK(rs != nullptr, kW);
-    for (const JsonValue& r : rs->as_array(kW)) refs.push_back(r.as_string(kW));
-    s.outline.macro_body_refs[get_str(e, "n", kW)] = std::move(refs);
-  }
-  const JsonValue* refs = v.find("refs", kW);
-  LCS_CHECK(refs != nullptr, kW);
-  for (const JsonValue& e : refs->as_array(kW)) {
-    Ref r;
-    r.name = get_str(e, "n", kW);
-    r.line = get_int(e, "l", kW);
-    r.col = get_int(e, "c", kW);
-    r.count = get_int(e, "x", kW);
-    s.refs.push_back(std::move(r));
-  }
-  const JsonValue* findings = v.find("findings", kW);
-  LCS_CHECK(findings != nullptr, kW);
-  for (const JsonValue& e : findings->as_array(kW)) {
-    Finding f;
-    f.file = s.path;
-    f.line = get_int(e, "l", kW);
-    f.col = get_int(e, "c", kW);
-    f.rule = get_str(e, "r", kW);
-    f.message = get_str(e, "m", kW);
-    f.hint = get_str(e, "h", kW);
-    s.raw_findings.push_back(std::move(f));
-  }
-  const JsonValue* sups = v.find("sups", kW);
-  LCS_CHECK(sups != nullptr, kW);
-  for (const JsonValue& e : sups->as_array(kW)) {
-    detail::SuppressionRec sup;
-    sup.line = get_int(e, "l", kW);
-    sup.col = get_int(e, "c", kW);
-    sup.target_line = get_int(e, "tl", kW);
-    const JsonValue* rs = e.find("rules", kW);
-    LCS_CHECK(rs != nullptr, kW);
-    for (const JsonValue& r : rs->as_array(kW))
-      sup.rules.push_back(r.as_string(kW));
-    sup.reason = get_str(e, "reason", kW);
-    sup.malformed = get_bool(e, "mal", kW);
-    s.sups.push_back(std::move(sup));
-  }
-  return s;
-}
-
-/// Load the cache; any mismatch (schema, fingerprint, parse error) or
-/// corruption degrades to an empty map — a cold run, never a crash.
-std::map<std::string, detail::FileSummary> load_cache(
-    const std::string& path, const std::string& fingerprint) {
-  std::map<std::string, detail::FileSummary> out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return out;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  try {
-    const JsonValue doc = parse_json(text);
-    static const char* kW = "lint cache";
-    if (get_str(doc, "schema", kW) != "lcs-lint-cache-v1") return out;
-    if (get_str(doc, "fingerprint", kW) != fingerprint) return out;
-    const JsonValue* files = doc.find("files", kW);
-    LCS_CHECK(files != nullptr, kW);
-    for (const JsonValue& e : files->as_array(kW)) {
-      detail::FileSummary s = read_summary_json(e);
-      std::string key = s.path;
-      out.emplace(std::move(key), std::move(s));
-    }
-  } catch (const CheckFailure&) {
-    out.clear();
-  }
-  return out;
-}
-
-void save_cache(const std::string& path, const std::string& fingerprint,
-                const std::vector<detail::FileSummary>& summaries) {
-  std::ostringstream os;
-  JsonWriter w(os, 0);
-  w.begin_object();
-  w.kv("schema", "lcs-lint-cache-v1");
-  w.kv("fingerprint", fingerprint);
-  w.key("files").begin_array();
-  for (const detail::FileSummary& s : summaries) write_summary_json(w, s);
-  w.end_array();
-  w.end_object();
-  w.finish();
-  // Atomic temp-file + rename: a killed run must never tear the cache
-  // (the loader would just degrade to cold, but why make it).
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return;  // cache is advisory: unwritable location = no cache
-    f << os.str();
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& rule_table() {
@@ -490,7 +239,6 @@ namespace detail {
 FileSummary analyze_source(std::string_view path, std::string_view source) {
   FileSummary s;
   s.path = std::string(path);
-  s.hash = fnv1a64(source);
 
   std::string splice_storage;
   const std::vector<Token> tokens = lex(source, &splice_storage);
@@ -590,28 +338,11 @@ LintResult lint_sources(const std::vector<SourceFile>& files,
                             }),
                 entries.end());
 
-  const std::string fingerprint = rules_fingerprint();
-  std::map<std::string, detail::FileSummary> cache;
-  if (!options.cache_file.empty()) {
-    cache = load_cache(options.cache_file, fingerprint);
-  }
-
   std::vector<detail::FileSummary> summaries;
   summaries.reserve(entries.size());
   for (const Entry& e : entries) {
-    const std::uint64_t h = fnv1a64(*e.source);
-    const auto it = cache.find(e.path);
-    if (it != cache.end() && it->second.hash == h) {
-      summaries.push_back(it->second);
-      ++result.cache_hits;
-    } else {
-      summaries.push_back(detail::analyze_source(e.path, *e.source));
-      ++result.files_lexed;
-    }
+    summaries.push_back(detail::analyze_source(e.path, *e.source));
     ++result.files_scanned;
-  }
-  if (!options.cache_file.empty()) {
-    save_cache(options.cache_file, fingerprint, summaries);
   }
 
   // The include graph over the scanned set.
@@ -635,7 +366,7 @@ LintResult lint_sources(const std::vector<SourceFile>& files,
     }
   }
 
-  // Findings per file: the cached/fresh per-file findings plus the
+  // Findings per file: the per-file findings plus the
   // project rules, then suppressions applied with that file's directives.
   std::map<std::string, std::vector<Finding>> per_file;
   for (const detail::FileSummary& s : summaries) {
@@ -744,10 +475,8 @@ std::string format_findings_json(const LintResult& result) {
   std::ostringstream os;
   JsonWriter w(os, 2);
   w.begin_object();
-  w.kv("schema", "lcs-lint-findings-v1");
+  w.kv("schema", "lcs-lint-findings-v2");
   w.kv("files_scanned", result.files_scanned);
-  w.kv("files_lexed", result.files_lexed);
-  w.kv("cache_hits", result.cache_hits);
   w.kv("suppressions_used", result.suppressions_used);
   w.key("findings").begin_array();
   for (const Finding& f : result.findings) {

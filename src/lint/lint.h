@@ -95,17 +95,11 @@ struct Options {
   /// layering: A1 is skipped. lint_paths() auto-discovers the committed
   /// manifest when this is empty.
   std::string layers_text;
-  /// Path of the incremental cache file. Empty = no cache. The cache is
-  /// keyed by content hash + rule fingerprint: warm runs re-read bytes
-  /// but never re-lex an unchanged file.
-  std::string cache_file;
 };
 
 struct LintResult {
   std::vector<Finding> findings;
   int files_scanned = 0;
-  int files_lexed = 0;       ///< files analyzed fresh this run
-  int cache_hits = 0;        ///< files served from the incremental cache
   int suppressions_used = 0;
   std::string graph_dot;     ///< Graphviz dump of the project include graph
 };
@@ -129,8 +123,9 @@ LintResult lint_paths(const std::vector<std::string>& paths,
 /// "file:line:col: RULE: message (fix: hint)".
 std::string format_finding(const Finding& f);
 
-/// The machine-readable findings document (schema "lcs-lint-findings-v1",
-/// deterministic key order, one JSON object, trailing newline).
+/// The machine-readable findings document (schema "lcs-lint-findings-v2":
+/// files_scanned, suppressions_used and the findings array, in
+/// deterministic key order; one JSON object, trailing newline).
 std::string format_findings_json(const LintResult& result);
 
 /// The --list-rules text: a block per rule —

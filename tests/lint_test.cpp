@@ -5,11 +5,9 @@
 /// and run through the per-file rules; directory fixtures under
 /// project/ are whole pretend repos exercising the include-graph rules
 /// (A1-A4, U1) through lint_sources(). Plus unit tests for the lexer's
-/// line-splice handling, the outline parser, the include graph, the
-/// layer manifest, and the incremental cache.
+/// line-splice handling, the outline parser, the include graph, and the
+/// layer manifest.
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -473,66 +471,6 @@ TEST(CollectRefs, CountsUsesAndExcludesNoise) {
   EXPECT_EQ(by_name["Widget"]->line, 4);   // first occurrence
   EXPECT_FALSE(by_name.count("vector"));   // include + std:: qualified
   EXPECT_FALSE(by_name.count("clone"));    // member access
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache.
-// ---------------------------------------------------------------------------
-
-TEST(LcsLint, WarmCacheRunRelexesNothingAndFindingsMatch) {
-  const fs::path cache =
-      fs::temp_directory_path() /
-      ("lcs_lint_cache_test_" + std::to_string(::getpid()) + ".json");
-  std::error_code ec;
-  fs::remove(cache, ec);
-
-  Options options;
-  options.cache_file = cache.string();
-  // b.cpp carries a deliberate A4 finding so the warm run proves findings
-  // replay from the cache, not just counters.
-  const std::vector<SourceFile> files = {
-      {"src/a.h", "#pragma once\nstruct AThing { int v = 0; };\n"},
-      {"src/b.cpp", "#include \"a.h\"\nint main() { return 0; }\n"},
-      {"src/c.cpp",
-       "#include \"a.h\"\nstatic AThing keep_alive() { return {}; }\n"},
-  };
-  const auto formatted = [](const LintResult& r) {
-    std::vector<std::string> out;
-    for (const Finding& f : r.findings) out.push_back(format_finding(f));
-    return out;
-  };
-
-  const LintResult cold = lint_sources(files, options);
-  EXPECT_EQ(cold.files_scanned, 3);
-  EXPECT_EQ(cold.files_lexed, 3);
-  EXPECT_EQ(cold.cache_hits, 0);
-  ASSERT_EQ(cold.findings.size(), 1u);
-  EXPECT_EQ(cold.findings[0].rule, "A4");
-
-  const LintResult warm = lint_sources(files, options);
-  EXPECT_EQ(warm.files_scanned, 3);
-  EXPECT_EQ(warm.files_lexed, 0) << "warm run must not re-lex";
-  EXPECT_EQ(warm.cache_hits, 3);
-  EXPECT_EQ(formatted(cold), formatted(warm));
-
-  // A corrupt cache degrades to a cold run, never a failure.
-  {
-    std::ofstream out(cache, std::ios::binary | std::ios::trunc);
-    out << "{not json";
-  }
-  const LintResult recovered = lint_sources(files, options);
-  EXPECT_EQ(recovered.files_lexed, 3);
-  EXPECT_EQ(recovered.cache_hits, 0);
-  EXPECT_EQ(formatted(recovered), formatted(cold));
-
-  // A changed file misses; the untouched ones still hit.
-  std::vector<SourceFile> edited = files;
-  edited[1].source += "// trailing comment\n";
-  const LintResult partial = lint_sources(edited, options);
-  EXPECT_EQ(partial.files_lexed, 1);
-  EXPECT_EQ(partial.cache_hits, 2);
-
-  fs::remove(cache, ec);
 }
 
 // ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ else
   echo "ok   sweep_common_key"
 fi
 
+# Thread counts come from outside the program and each one is a real OS
+# thread, so --threads is capped (driver::kMaxThreads = 256). Only values
+# just past the bounds are tried: an uncapped binary would really start
+# that many threads.
+expect_error_contains threads_over_cap 2 '--threads must be in [0, 256]' \
+  --algo=none --scenario='er:n=50,deg=4' --threads=257
+expect_error_contains threads_negative 2 '--threads must be in [0, 256]' \
+  --algo=none --scenario='er:n=50,deg=4' --threads=-1
+
 # A successful run must NOT contain the error object (guards against the
 # error path leaking into healthy reports).
 out=$("$run" --algo=none --scenario='er:n=50,deg=4' --no-timing 2>/dev/null)

@@ -7,12 +7,10 @@
 ///   --list-rules       print the rule table (family, fixture count,
 ///                      rationale) and exit
 ///   --json             emit the machine-readable findings document
-///                      (schema lcs-lint-findings-v1) on stdout instead
+///                      (schema lcs-lint-findings-v2) on stdout instead
 ///                      of the human one-line-per-finding format
 ///   --graph-dot=FILE   write the project include graph as Graphviz DOT
 ///                      to FILE ('-' = stdout)
-///   --cache=FILE       incremental cache: unchanged files (by content
-///                      hash) are served from FILE without re-lexing
 ///   --layers=FILE      layer manifest to enforce (default: auto-discover
 ///                      src/lint/layers.txt)
 ///
@@ -41,7 +39,7 @@ namespace {
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: lcs_lint [--list-rules] [--json] [--graph-dot=FILE] "
-               "[--cache=FILE] [--layers=FILE] <path>...\n");
+               "[--layers=FILE] <path>...\n");
 }
 
 }  // namespace
@@ -69,10 +67,6 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--graph-dot=", 0) == 0) {
       graph_dot_file = arg.substr(12);
-      continue;
-    }
-    if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_file = arg.substr(8);
       continue;
     }
     if (arg.rfind("--layers=", 0) == 0) {
@@ -132,9 +126,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", lcs::lint::format_finding(f).c_str());
   }
   std::fprintf(stderr,
-               "lcs_lint: %d file(s) scanned (%d lexed, %d cache hit(s)), "
-               "%zu finding(s), %d suppression(s) honored\n",
-               result.files_scanned, result.files_lexed, result.cache_hits,
-               result.findings.size(), result.suppressions_used);
+               "lcs_lint: %d file(s) scanned, %zu finding(s), %d "
+               "suppression(s) honored\n",
+               result.files_scanned, result.findings.size(),
+               result.suppressions_used);
   return result.findings.empty() ? 0 : 1;
 }

@@ -72,7 +72,8 @@ constexpr const char* kUsage = R"(usage: lcs_run --algo=ALGO --scenario=SPEC [op
                      JSON array of reports. lo/hi take k/M/G suffixes;
                      ":5" = 5 evenly spaced points, ":x10" = multiply by 10
                      per point (the default is :x2)
-  --threads=N        engine worker threads (default 1; 0 = hardware)
+  --threads=N        engine worker threads (default 1; 0 = hardware;
+                     at most 256)
   --seed=S           algorithm seed (default 1)
   --fail-rate=F      components: failed-edge fraction in [0, 1) (default 0.25)
   --validate         CONGEST checks on + verify the result against the

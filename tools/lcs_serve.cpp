@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/run_driver.h"
 #include "serve/server.h"
 #include "util/check.h"
 
@@ -40,7 +41,7 @@ options:
   --batch=N            max buffered requests dispatched as one batch
                        (default 16)
   --parallel-requests=N  worker threads for batch dispatch (default 1;
-                       0 = hardware concurrency)
+                       0 = hardware concurrency; at most 256)
   --preload=SPEC       resolve SPEC before serving (repeatable)
   --help               print this text
 )";
@@ -85,6 +86,11 @@ Options parse_args(int argc, char** argv) {
       o.serve.batch = parse_int(value, "--batch");
     } else if (take_value(arg, "--parallel-requests", value)) {
       o.serve.parallel_requests = parse_int(value, "--parallel-requests");
+      LCS_CHECK(o.serve.parallel_requests >= 0 &&
+                    o.serve.parallel_requests <= lcs::driver::kMaxThreads,
+                "--parallel-requests must be in [0, " +
+                    std::to_string(lcs::driver::kMaxThreads) +
+                    "] (0 = hardware concurrency), got " + value);
     } else if (take_value(arg, "--preload", value)) {
       o.serve.preload.push_back(value);
     } else {

@@ -12,7 +12,8 @@
 #      1, 2, and 4 and diffs every payload byte-for-byte;
 #   3. replays the matrix in reverse order at --parallel-requests=4 and
 #      requires every per-id payload to be unchanged — batching and
-#      worker interleaving must not leak into any response.
+#      worker interleaving must not leak into any response;
+#   4. requires an out-of-range --parallel-requests to exit 2.
 #
 # Usage: serve_smoke.sh /path/to/lcs_serve /path/to/lcs_run
 set -u
@@ -68,6 +69,10 @@ add churn '{"id":"churn","algo":"churn","scenario":"churn:base=er:n=150,deg=5,se
 # Error paths must match lcs_run's JSON error objects and exit codes too.
 add err_family '{"id":"err_family","algo":"components","scenario":"frobnicate:n=10","timing":false}' \
   '--algo=components --scenario=frobnicate:n=10 --no-timing'
+# A thread count past driver::kMaxThreads is an error object, not 257
+# engine threads.
+add err_threads '{"id":"err_threads","algo":"mst","scenario":"er:n=50,deg=4","threads":257,"timing":false}' \
+  '--algo=mst --scenario=er:n=50,deg=4 --threads=257 --no-timing'
 add err_sweep '{"id":"err_sweep","algo":"components","scenario":"er:n=100,deg=4","sweep":"bogus=1..4","timing":false}' \
   '--algo=components --scenario=er:n=100,deg=4 --sweep=bogus=1..4 --no-timing'
 
@@ -135,6 +140,20 @@ reversed="$TMP/requests_reversed.jsonl"
 dir="$TMP/reversed"
 "$serve" --parallel-requests=4 < "$reversed" 2>/dev/null | split_frames "$dir"
 check_replay "reversed_order" "$dir"
+
+# --parallel-requests is bounded like the engine's thread count: a
+# negative value is not "all cores", and 257 is past the cap. Both exit 2
+# before any worker starts.
+for par in -1 257; do
+  "$serve" --parallel-requests="$par" < /dev/null > /dev/null 2>&1
+  rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "FAIL parallel_requests_$par: exit code $rc, expected 2" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   parallel_requests_$par rejected"
+  fi
+done
 
 if [[ "$failures" -ne 0 ]]; then
   echo "serve_smoke: $failures failure(s)" >&2
