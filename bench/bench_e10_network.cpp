@@ -166,10 +166,10 @@ int register_all = [] {
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
   // 316x316 grid (~100k nodes): high-diameter, small active set per
-  // round. The thread sweep is the adaptive-fallback acceptance workload:
-  // its 630 tiny rounds all sit below the threshold, so every threaded
-  // point must track the sequential wall time (PR 2 paid 1.8x fork-join
-  // overhead here).
+  // round. The thread sweep is the executor-threshold acceptance workload:
+  // its 630 tiny rounds all sit below the threshold and run on the calling
+  // thread, so every threaded point must track the threads:1 wall time
+  // (an always-pool engine paid 1.8x fork-join overhead here).
   for (const int threads : {1, 2, 4, 8}) {
     benchmark::RegisterBenchmark(
         ("E10/flood/grid/99856/threads:" + std::to_string(threads)).c_str(),
@@ -179,10 +179,9 @@ int register_all = [] {
         })
         ->Unit(benchmark::kMillisecond)->UseRealTime();
   }
-  // The same worst case with the fallback disabled (threshold 0): what
-  // per-round fork-join overhead still costs when every tiny round is
-  // forced through the parallel path — the number the threshold is
-  // calibrated against.
+  // The same worst case with threshold 0: what per-round fork-join
+  // overhead costs when every tiny round runs on the worker pool — the
+  // number the threshold is calibrated against.
   benchmark::RegisterBenchmark("E10/flood/grid/99856/threads:4/no-fallback",
                                [](benchmark::State& s) {
                                  const Graph g = make_grid(316, 316);
@@ -191,7 +190,7 @@ int register_all = [] {
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
   // Validation on + 4 threads: the faithfulness checks split between the
-  // workers (incidence) and the sequential lane merge (double-send).
+  // delivery shards (incidence) and the per-range lane merge (double-send).
   benchmark::RegisterBenchmark("E10/flood/erdos-renyi-validate/100000/threads:4",
                                [](benchmark::State& s) {
                                  const Graph g = make_erdos_renyi(

@@ -91,8 +91,8 @@ inline Instance lower_bound_instance(NodeId k) {
 struct Rig {
   congest::Network net;
   SpanningTree tree;
-  /// `threads` selects the engine's worker count (Network::set_threads; 1 =
-  /// sequential, 0 = hardware concurrency); round counts and shortcut
+  /// `threads` selects the engine's worker count (Network::set_threads; 0 =
+  /// hardware concurrency); round counts and shortcut
   /// quality are thread-count-invariant by the engine's determinism
   /// contract, so only wall-time benches need a sweep.
   explicit Rig(const Graph& g, NodeId root = 0, int threads = 1)

@@ -14,117 +14,110 @@
 /// received a message or requested a wakeup, so simulation work is
 /// proportional to the total message count, not rounds × nodes.
 ///
-/// ## Engine internals (slab inboxes, epoch stamps, O(active) scheduling)
+/// ## Engine internals (send lanes, slab inboxes, epoch stamps)
 ///
 /// The hot path is allocation-free in the steady state and touches O(active
 /// + messages) memory per round:
 ///
-///  * **Slab inboxes.** Messages live in two arena slabs that are
-///    double-buffered between the round being filled and the round being
-///    delivered. A send appends one `Incoming` to the *fill* slab (plus its
-///    destination in a parallel array) and bumps a per-node epoch-stamped
-///    message count — one 16-byte `NodeState` touch, no per-message or
-///    per-node heap allocation (slab capacity persists across rounds and
-///    phases). At round promotion the fill slab is counting-scattered into
-///    the *ordered* slab, destination-major in ascending node order and
-///    send-ordered within each destination, so every inbox a process sees
-///    is a contiguous slab range: the public API stays
+///  * **Send lanes.** A send appends one `Incoming` (plus its destination)
+///    to the sender's `SendLane`, in the bucket of the destination's
+///    *range* (a wakeup appends the node to its own range's bucket) — the
+///    node-id space is split into at most `threads()`
+///    power-of-two-aligned ranges, so `range_of` is one shift. A bucket's
+///    contents are that lane's sends into that range in send order, and its
+///    size is a ready-made per-lane per-range message count. Capacities
+///    persist across rounds and phases: no per-message or per-node heap
+///    allocation.
+///
+///  * **Slab inboxes.** At round promotion the lanes are counting-scattered
+///    into one *ordered* slab, destination-major in ascending node order
+///    and send-ordered within each destination, so every inbox a process
+///    sees is a contiguous slab range: the public API stays
 ///    `std::span<const Incoming>` with zero per-message copies at delivery,
-///    the whole round's delivery is one sequential pass over the ordered
-///    slab, and per-node delivery order matches the historical
-///    vector-of-vectors engine bit-for-bit.
+///    the whole round's delivery is one pass over the ordered slab, and
+///    per-node delivery order matches the historical vector-of-vectors
+///    engine bit for bit.
 ///
 ///  * **Epoch-stamped resets.** A global monotone `tick_` advances once per
-///    phase start and once per round. Membership tests that previously
-///    required O(n) or O(m) `std::fill` resets per phase — "is v already in
-///    next round's active list", "how many messages does v have in the fill
-///    round", "did this directed edge already carry a send this round" — are
-///    all expressed as `stamp[x] == tick_`, so nothing is ever cleared and
-///    `run` startup is O(active), independent of n and m.
+///    phase start and once per round. Membership tests that would need
+///    O(n) or O(m) resets per phase — "is v already in next round's active
+///    list", "how many messages does v have in the round being filled",
+///    "did this directed edge already carry a send this round" — are all
+///    `stamp[x] == tick_`, so nothing is ever cleared and `run` startup is
+///    O(active) apart from the `on_start` pass itself.
 ///
 ///  * **O(active) scheduling.** The active list is ordered ascending by node
 ///    id each round (the engine's determinism contract) with an LSD radix
 ///    sort over the id bytes (insertion sort below a small cutoff), so
 ///    scheduling costs O(active) per round instead of O(active log active).
 ///
-/// ## Validation mode
+/// ## One round pipeline
 ///
-/// `set_validate()` toggles the CONGEST faithfulness checks in the send
-/// path: that the sender is an endpoint of the edge it sends over, and that
-/// each directed edge carries at most one message per round. Validation is
-/// **on by default** (and in all tests); benchmarks turn it off to measure
-/// raw engine throughput. With validation off the checks are skipped
-/// entirely — behavior, delivery order, and all round/message accounting
-/// are unchanged for protocols that obey the model, but a violating
-/// protocol is no longer diagnosed. Validation works identically in
-/// parallel mode: the read-only incidence checks run inside the workers,
-/// and the one-send-per-directed-edge check runs during the (sequential,
-/// deterministically ordered) lane merge, so a violating protocol is
-/// diagnosed at every thread count.
+/// Every round runs the same three steps, and the `on_start` pass before
+/// round 0 runs the last two:
 ///
-/// ## Parallel mode (`set_threads`)
+///  1. **Promote, per destination range r.** Sort range r's segment of the
+///     active list, build its inbox spans and write cursors from the
+///     range's exclusive slab offset (a prefix sum of the bucket sizes),
+///     then scatter bucket r of every lane, in lane order, into the range's
+///     disjoint slice of the ordered slab.
+///  2. **Deliver, per shard w.** The sorted active list is cut into
+///     contiguous shards (balanced by inbox size plus a constant per
+///     activation); shard w's callbacks send into lane w.
+///  3. **Merge, per destination range r.** Replay bucket r of every lane in
+///     lane order — since shards are ascending and contiguous, that is the
+///     whole round's send order restricted to range r — stamping next-round
+///     nodes, counting each node's messages, and running the
+///     one-send-per-directed-edge check (a directed edge determines its
+///     destination, hence its range, so each stamp cell has one writer).
+///     The per-range next-active lists are then concatenated range-major,
+///     which leaves the next active list pre-partitioned for step 1.
 ///
-/// Rounds are data-parallel per node on the delivery side and data-parallel
-/// per *destination range* on the promotion side, so `set_threads(k)` with
-/// k > 1 runs both halves of a round on a persistent `WorkerPool`:
+/// ## Two executors (`set_threads`, `set_parallel_round_threshold`)
 ///
-///  * **Delivery.** Each worker processes a *contiguous shard* of the
-///    sorted active list (shard boundaries balance inbox sizes plus a
-///    constant per activation, computed from deterministic per-round state
-///    only) and appends its sends and wakeups to a private `SendLane`
-///    instead of the shared engine state. A lane is bucketed by
-///    *destination range* — the node-id space is split into at most k
-///    power-of-two-aligned ranges — so every (worker, range) bucket's size
-///    is a ready-made per-worker per-destination-range count, and a
-///    bucket's contents are that worker's sends into that range in send
-///    order.
-///
-///  * **Promotion.** Immediately after delivery (same pool dispatch, one
-///    `run_staged` barrier later) worker r *merges* range r: it replays
-///    bucket (l, r) of every lane l in lane order — because workers own
-///    ascending shards of the active list, that concatenation is exactly
-///    the sequential engine's send order restricted to range r — stamping
-///    next-active nodes, accumulating per-node counts, and running the
-///    one-send-per-directed-edge check (a directed edge determines its
-///    destination, hence its range, so each `edge_dir_stamp_` cell has
-///    exactly one writer). At the next round's promotion the counting
-///    scatter is parallel the same way: per-range slab offsets are prefix
-///    sums of the bucket sizes, and worker r sorts its segment of the
-///    active list, builds its spans and write cursors from its exclusive
-///    base offset, and runs `scatter_block` passes over its lanes' r
-///    buckets into a disjoint destination range of the ordered slab. No
-///    O(messages) promotion step runs on one thread; only the O(active)
-///    next-active concatenation and shard planning stay serial.
-///
-/// **Adaptive sequential fallback.** Fork-join costs a few microseconds
-/// per round, which dominates tiny rounds (a high-diameter flood is
-/// thousands of rounds of a few hundred messages). When a round's pending
-/// messages + active nodes fall below `parallel_round_threshold()` the
-/// round runs on the sequential path even with `threads() > 1` — same
-/// code, same observables, no pool dispatch; rounds above it run parallel.
-/// The default (`kDefaultParallelRoundThreshold`) is calibrated so the
-/// fallback covers every round whose sequential cost is within ~2x of the
-/// measured per-round fork-join overhead; `set_parallel_round_threshold`
-/// overrides it (0 forces every round parallel — the determinism tests do
-/// this to pin the parallel promotion path).
+/// A `Network` always owns `threads()` send lanes, the matching range
+/// layout and a `WorkerPool` of that size. The per-range and per-shard
+/// bodies above run either on the pool (worker w takes range w or shard w;
+/// promotion is one job, delivery and merge one job with a barrier between
+/// them) or in a loop on the calling thread (over a single shard).
+/// Fork-join costs a few microseconds per round, which dominates tiny
+/// rounds, so a round whose pending messages + active nodes fall below
+/// `parallel_round_threshold()` — and an `on_start` pass over fewer nodes
+/// than that — runs in the loop; larger ones run on the pool. The default
+/// (`kDefaultParallelRoundThreshold`) is calibrated so the loop covers every
+/// round whose cost is within ~2x of the measured fork-join overhead;
+/// `set_parallel_round_threshold(0)` puts every round on the pool (the
+/// determinism tests and goldens use that to pin the pool executor on small
+/// graphs). At `threads() == 1` the pool has size one and runs its job as a
+/// plain call, so both executors are the same loop.
 ///
 /// **Determinism contract:** for any protocol that obeys the faithfulness
 /// rules in process.h (each process touches only its own node's state),
 /// every observable is bit-identical at every thread count and every
-/// fallback threshold: inbox contents and per-node delivery order, node
-/// processing order, `PhaseStats`, `total_rounds` / `total_messages`,
-/// charged labels, and validation diagnostics. The only thing parallel
-/// mode may change is which thread a callback runs on — so process code
-/// must be race-free across *different* nodes (the faithfulness contract
-/// already requires that; a process that mutates state shared between
-/// nodes is outside the CONGEST model).
+/// threshold: inbox contents and per-node delivery order, node processing
+/// order, `PhaseStats`, `total_rounds` / `total_messages`, charged labels,
+/// and validation diagnostics. The executor changes only which thread a
+/// callback runs on — so process code must be race-free across *different*
+/// nodes (the faithfulness contract already requires that; a process that
+/// mutates state shared between nodes is outside the CONGEST model).
 ///
-/// `set_threads(1)` (the default) is the unchanged sequential engine with
-/// zero synchronization; `set_threads(0)` resolves to the hardware
-/// concurrency. The thread count may be changed between phases at will,
-/// but never from inside a running phase (e.g. from a process callback) —
-/// that would resize the engine's live round state and is diagnosed with
-/// `LCS_CHECK`.
+/// `set_threads(1)` is the default; `set_threads(0)` resolves to the
+/// hardware concurrency. The thread count may be changed between phases at
+/// will, but never from inside a running phase (e.g. from a process
+/// callback) — that would resize the engine's live round state and is
+/// diagnosed with `LCS_CHECK`.
+///
+/// ## Validation mode
+///
+/// `set_validate()` toggles the CONGEST faithfulness checks: that the
+/// sender is an endpoint of the edge it sends over (checked in the send
+/// path), and that each directed edge carries at most one message per
+/// round (checked in the merge). Validation is **on by default** (and in
+/// all tests); benchmarks turn it off to measure raw engine throughput.
+/// With validation off the checks are skipped entirely — behavior,
+/// delivery order, and all round/message accounting are unchanged for
+/// protocols that obey the model, but a violating protocol is no longer
+/// diagnosed.
 ///
 /// ## Engine limits
 ///
@@ -132,10 +125,10 @@
 /// single node receives at most 2^31 - 1 messages per round (inbox spans
 /// and per-node counts are 32-bit by design — see `NodeState`). Exceeding
 /// the limit is diagnosed with a clear `CheckFailure` ("engine limit"), in
-/// the send path for a single hot destination and at round promotion for
-/// the round total, never silent wraparound. At ~48 bytes per pending
-/// message the limit corresponds to a ~100 GB fill slab, so real
-/// workloads hit memory long before the diagnostic.
+/// the merge for a single hot destination and at round promotion for the
+/// round total, never silent wraparound. At ~48 bytes per pending message
+/// the limit corresponds to ~100 GB of lanes, so real workloads hit memory
+/// long before the diagnostic.
 #pragma once
 
 #include <cstdint>
@@ -151,12 +144,11 @@
 #include "congest/process.h"
 #include "graph/graph.h"
 #include "util/cast.h"
-#include "util/check.h"
 #include "util/worker_pool.h"
 
 namespace lcs::congest {
 
-/// One destination range's slice of a worker's sends: payloads in `fill`,
+/// One destination range's slice of a lane's sends: payloads in `fill`,
 /// destinations in the parallel `fill_to` (send order), wakeups in `wakes`
 /// (duplicates allowed — the merge dedupes via the epoch stamps).
 struct LaneBucket {
@@ -171,12 +163,11 @@ struct LaneBucket {
   }
 };
 
-/// One worker's private send-side state in parallel mode, bucketed by
-/// destination range (`Network::range_of`): bucket sizes double as the
-/// per-worker per-destination-range counts that drive the parallel merge
-/// and scatter. Capacities persist across rounds and phases, like the
-/// sequential slabs. Over-aligned so adjacent lanes' headers never share a
-/// cache line.
+/// One delivery shard's private send-side state, bucketed by destination
+/// range (`Network::range_of`): bucket sizes double as the per-lane
+/// per-range counts that drive the merge and the scatter. Capacities
+/// persist across rounds and phases. Over-aligned so adjacent lanes'
+/// headers never share a cache line.
 struct alignas(128) SendLane {
   std::vector<LaneBucket> buckets;  // one per destination range
 
@@ -240,29 +231,28 @@ class Network {
   bool validate() const { return validate_; }
 
   /// Number of worker threads that execute process callbacks and run
-  /// round promotion. 1 (the default) is the sequential engine; 0 resolves
-  /// to the hardware concurrency; k > 1 runs each round's delivery in k
-  /// contiguous shards and its promotion over at most k destination
-  /// ranges, on a persistent worker pool. Bit-identical observables at
-  /// every thread count — see the "Parallel mode" header comment for the
-  /// determinism contract. May be called between phases at any time, but
-  /// never from inside a running phase (diagnosed with LCS_CHECK): it
-  /// resizes the lanes and range structures a live round is using.
+  /// round promotion: the size of the worker pool, the number of send
+  /// lanes, and the bound on the number of destination ranges. 1 is the
+  /// default; 0 resolves to the hardware concurrency. Bit-identical
+  /// observables at every thread count — see "Two executors" in the header
+  /// comment. May be called between phases at any time, but never from
+  /// inside a running phase (diagnosed with LCS_CHECK): it resizes the
+  /// lanes and range structures a live round is using.
   void set_threads(int threads);
   /// The resolved thread count (never 0).
   int threads() const { return threads_; }
 
   /// Default `parallel_round_threshold()`: rounds whose pending messages +
-  /// active nodes fall below this run sequentially even with threads() >
-  /// 1. Calibrated on the E10 grid-flood bench (see bench_e10_network):
-  /// ~2x the round size where one round's sequential cost equals the
+  /// active nodes fall below this run on the calling thread instead of the
+  /// pool. Calibrated on the E10 grid-flood bench (see bench_e10_network):
+  /// ~2x the round size where one round's single-thread cost equals the
   /// measured per-round fork-join overhead, so tiny rounds never pay the
-  /// dispatch and message-heavy rounds keep the full parallel path.
+  /// dispatch and message-heavy rounds keep the pool.
   static constexpr std::int64_t kDefaultParallelRoundThreshold = 2048;
 
-  /// Override the adaptive-fallback threshold (0 forces every round onto
-  /// the parallel path; the determinism tests use that to pin parallel
-  /// promotion on small graphs). Observables are identical at any value.
+  /// Override the executor threshold (0 puts every round on the pool; the
+  /// determinism tests use that to pin the pool executor on small graphs).
+  /// Observables are identical at any value.
   /// Like set_threads, must not be called from inside a running phase.
   void set_parallel_round_threshold(std::int64_t work);
   std::int64_t parallel_round_threshold() const {
@@ -293,7 +283,7 @@ class Network {
   friend struct NetworkTestPeer;
 
   /// Epoch-stamped per-node round state: `stamp == tick32()` means the
-  /// node is in the round currently being filled; `count` is its message
+  /// node is in the round currently being merged; `count` is its message
   /// count in that round (0 for a wakeup-only activation). During the
   /// scatter pass `count` is repurposed as the node's write cursor into
   /// the ordered slab. The stamp is the low 31 bits of the global tick —
@@ -315,92 +305,52 @@ class Network {
 
   void do_send(NodeId from, EdgeId e, const Message& m,
                std::span<const Graph::Neighbor> from_neighbors,
-               SendLane* lane);
-  void do_wake(NodeId v, SendLane* lane);
+               SendLane& lane);
+  void do_wake(NodeId v, SendLane& lane) {
+    lane.buckets[static_cast<std::size_t>(range_of(v))].wakes.push_back(v);
+  }
   /// The 31-bit view of `tick_` that `NodeState::stamp` compares against.
   std::int32_t tick32() const {
     return util::checked_cast<std::int32_t>(tick_ & 0x7fffffff);
   }
   /// Bump the global epoch; on 31-bit wrap, invalidate all node stamps.
   void advance_tick();
-  /// Ascending-id order of the active list (LSD radix over id bytes).
-  void sort_active(std::vector<NodeId>& a);
-  /// The radix core behind sort_active, callable per range segment with a
-  /// caller-owned scratch buffer so segments sort concurrently.
+  /// Ascending order of `size` node ids (LSD radix over the id bytes) with
+  /// a caller-owned scratch buffer, so range segments sort concurrently.
   static void sort_ids(NodeId* data, std::size_t size,
                        std::vector<NodeId>& scratch);
 
   /// Destination range of node v (ranges are power-of-two spans of the id
   /// space, at most threads() of them — see compute_range_layout).
   int range_of(NodeId v) const { return util::checked_cast<int>(v >> range_shift_); }
-  /// Recompute range_shift_ / num_ranges_ from num_nodes and threads_ and
-  /// size the per-range structures.
+  /// Recompute range_shift_ / num_ranges_ from num_nodes and threads_.
   void compute_range_layout();
 
-  /// Stamp `to` into the round being filled and count one message for it,
-  /// diagnosing per-node inbox overflow; newly stamped nodes append to
-  /// `out_active` (next_active_ on the sequential path, the range's
-  /// merge_next_ slot in the parallel merge replay).
-  void count_message_to(NodeId to, std::int32_t now,
-                        std::vector<NodeId>& out_active) {
-    NodeState& st = node_state_[static_cast<std::size_t>(to)];
-    if (st.stamp != now) {
-      st.stamp = now;
-      st.count = 1;
-      out_active.push_back(to);
-    } else {
-      LCS_CHECK(st.count != INT32_MAX,
-                "engine limit exceeded: a node received 2^31 - 1 messages "
-                "in one round");
-      ++st.count;
-    }
-  }
-
-  /// Produce the destination-major ordering of the fill slab and the
-  /// per-active-node `spans_` into it via a counting scatter through
-  /// per-node cursors; returns the ordered message array.
-  const Incoming* cursor_scatter(std::size_t nmsg);
-
-  /// Shared first half of the sequential scatters: build `spans_` and turn
-  /// each active node's `NodeState::count` into its write cursor; grow the
-  /// ordered slab to `nmsg`.
-  void build_spans(std::size_t nmsg);
-  /// The count-to-cursor core of every scatter: for active_[lo, hi), fill
-  /// `spans_` and repurpose each node's count as its write cursor,
-  /// starting at slab offset `base`; returns the end offset. Disjoint
-  /// segments run concurrently (promote_parallel) or back to back
-  /// (build_spans).
-  std::int64_t build_spans_segment(std::size_t lo, std::size_t hi,
-                                   std::int64_t base);
+  /// Run `fn(stage, w)` for every stage in order and every w < threads():
+  /// on the pool when `on_pool`, otherwise in a loop on the calling thread.
+  template <class Fn>
+  void execute(bool on_pool, int stages, Fn&& fn);
+  /// Step 1 for destination range r: sort its active-list segment, build
+  /// its spans and write cursors from range_msg_base_[r], and scatter
+  /// bucket r of every lane (in lane order) into its slice of the slab.
+  void promote_range(int r);
   /// Scatter one contiguous block of (payload, destination) pairs through
   /// the node-state cursors into the ordered slab.
   void scatter_block(const Incoming* fill, const NodeId* fill_to,
                      std::size_t count);
-  /// Sequential-fallback scatter of lane-resident sends: for each range,
-  /// scatter its buckets in lane order (the sequential fill order
-  /// restricted to the range) and clear them.
-  const Incoming* scatter_lanes_sequential(std::size_t nmsg);
-  /// Parallel promotion of lane-resident sends: worker r sorts its range's
-  /// segment of the active list, builds its spans and cursors from the
-  /// prefix-summed bucket counts, and scatter_blocks its buckets into its
-  /// disjoint slice of the ordered slab. Requires fill_in_lanes_ (the
-  /// previous round merged in parallel, so range_active_bounds_ is fresh).
-  const Incoming* promote_parallel(std::size_t nmsg);
-  /// Merge replay of destination range r: walk bucket (l, r) of every lane
-  /// l in lane order — the sequential send order restricted to range r —
-  /// stamping per-node state, appending to merge_next_[r], and running the
-  /// double-send check. Runs concurrently across ranges.
+  /// Steps 2 and 3 as one job: deliver `items` work items (node ids for
+  /// the `on_start` pass, round -1; positions in `active_` otherwise) in
+  /// contiguous shards into the lanes, merge the destination ranges, then
+  /// concatenate the next active list.
+  void deliver_and_merge(std::span<Process* const> procs,
+                         std::int64_t round, std::size_t items, bool on_pool);
+  /// Step 2 for shard w: run its callbacks with lane w.
+  void deliver_shard(std::span<Process* const> procs, std::int64_t round,
+                     int w);
+  /// Step 3 for destination range r: walk bucket r of every lane in lane
+  /// order, stamping per-node state, appending newly active nodes to
+  /// merge_next_[r], and running the double-send check.
   void merge_range(int r);
-  /// Serial tail of the parallel merge: concatenate merge_next_ into
-  /// next_active_ (range-major; segments sort in the next promotion) and
-  /// record the per-range segment bounds.
-  void finish_parallel_merge();
-  /// Run one round's `on_round` callbacks and the following merge as one
-  /// two-stage pool job: stage 0 delivers contiguous weight-balanced
-  /// shards of `active_` into the lanes, stage 1 merges the destination
-  /// ranges.
-  void run_parallel_round(std::span<Process* const> procs,
-                          const Incoming* ordered, std::int64_t round);
 
   const Graph* graph_;
   bool validate_ = true;
@@ -409,13 +359,8 @@ class Network {
   /// "reset per round/phase" state below is stamp-guarded against it.
   std::int64_t tick_ = 0;
 
-  // Message arenas. Sends append the payload to `slab_fill_` and the
-  // destination to the parallel `slab_fill_to_` (send order); round
-  // promotion counting-scatters them destination-major into
-  // `slab_ordered_`, from which all inbox spans are served. Capacities
-  // persist across rounds and phases.
-  std::vector<Incoming> slab_fill_;
-  std::vector<NodeId> slab_fill_to_;
+  // The round's messages, destination-major; all inbox spans point into
+  // it. Capacity persists across rounds and phases.
   std::vector<Incoming> slab_ordered_;
 
   std::vector<NodeState> node_state_;
@@ -432,20 +377,18 @@ class Network {
   // Reused per-round scratch (capacity persists across rounds/phases).
   std::vector<NodeId> active_;
   std::vector<InboxSpan> spans_;  // aligned with active_
-  std::vector<NodeId> radix_scratch_;
   std::vector<Process*> proc_scratch_;
 
-  // Parallel mode: resolved thread count (1 = sequential), the persistent
-  // worker team, one send lane per worker, and the per-round shard
-  // boundaries into `active_` (size threads_ + 1).
+  // Resolved thread count, the persistent worker team of that size, one
+  // send lane per worker, and the per-round shard boundaries into the
+  // round's work items (size threads_ + 1).
   int threads_ = 1;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<SendLane> lanes_;
   std::vector<std::size_t> shard_bounds_;
 
-  // Destination-range layout for parallel promotion: ranges are
-  // 2^range_shift_-wide spans of the id space, num_ranges_ <= threads_ of
-  // them. Recomputed by set_threads.
+  // Destination-range layout: ranges are 2^range_shift_-wide spans of the
+  // id space, num_ranges_ <= threads_ of them. Recomputed by set_threads.
   int range_shift_ = 0;
   int num_ranges_ = 1;
   // Per-range promotion state: merge_next_[r] collects range r's newly
@@ -459,12 +402,9 @@ class Network {
   std::vector<std::int64_t> range_msg_base_;
   std::vector<std::vector<NodeId>> range_sort_scratch_;
 
-  // Adaptive fallback: rounds below this work level (pending messages +
-  // active nodes) run sequentially even with threads_ > 1.
+  // Rounds below this work level (pending messages + active nodes) run
+  // on the calling thread instead of the pool.
   std::int64_t parallel_threshold_ = kDefaultParallelRoundThreshold;
-  // Where the pending round's sends live: the worker lanes (previous
-  // round ran parallel) or the sequential fill slab.
-  bool fill_in_lanes_ = false;
   // A phase is currently running on this network (guards set_threads).
   bool in_phase_ = false;
 

@@ -60,8 +60,7 @@ class Context {
  private:
   friend class Network;
   Context(Network& net, NodeId id, NodeId num_nodes, std::int64_t round,
-          std::span<const Graph::Neighbor> neighbors,
-          SendLane* lane = nullptr)
+          std::span<const Graph::Neighbor> neighbors, SendLane& lane)
       : net_(net),
         id_(id),
         num_nodes_(num_nodes),
@@ -74,9 +73,10 @@ class Context {
   NodeId num_nodes_;
   std::int64_t round_;
   std::span<const Graph::Neighbor> neighbors_;
-  /// Worker-private send lane in parallel mode; nullptr on the sequential
-  /// engine path (see network.h).
-  SendLane* lane_;
+  /// The send lane of the delivery shard this callback runs in; sends and
+  /// wakeups append to it, and the round's merge replays the lanes in
+  /// shard order (see "One round pipeline" in network.h).
+  SendLane& lane_;
 };
 
 class Process {

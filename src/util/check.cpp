@@ -4,10 +4,9 @@
 
 namespace lcs::detail {
 
-void check_failed(const char* condition, const char* file, int line,
-                  const std::string& message) {
+void check_failed(const char* condition, const std::string& message) {
   std::ostringstream out;
-  out << "LCS_CHECK failed: (" << condition << ") at " << file << ":" << line;
+  out << "LCS_CHECK failed: (" << condition << ")";
   if (!message.empty()) out << " — " << message;
   throw CheckFailure(out.str());
 }

@@ -19,18 +19,21 @@ class CheckFailure : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] void check_failed(const char* condition, const char* file,
-                               int line, const std::string& message);
+[[noreturn]] void check_failed(const char* condition,
+                               const std::string& message);
 }  // namespace detail
 
 }  // namespace lcs
 
-/// Verify `cond`; on failure throw lcs::CheckFailure with location info.
-/// Always enabled (also in release builds): the simulator's value is its
-/// guarantees, so invariant checks are never compiled out.
-#define LCS_CHECK(cond, message)                                          \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::lcs::detail::check_failed(#cond, __FILE__, __LINE__, (message));  \
-    }                                                                     \
+/// Verify `cond`; on failure throw lcs::CheckFailure naming the condition
+/// and the message. The text carries no source location: it reaches the
+/// JSON error documents, whose bytes must not depend on the checkout path
+/// or on line numbers. Always enabled (also in release builds): the
+/// simulator's value is its guarantees, so invariant checks are never
+/// compiled out.
+#define LCS_CHECK(cond, message)                        \
+  do {                                                  \
+    if (!(cond)) {                                      \
+      ::lcs::detail::check_failed(#cond, (message));    \
+    }                                                   \
   } while (false)

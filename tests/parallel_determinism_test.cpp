@@ -1,12 +1,15 @@
 /// \file parallel_determinism_test.cpp
-/// The parallel engine's determinism contract (network.h, "Parallel
-/// mode"): at every thread count, `PhaseStats`, per-node inbox contents,
-/// delivery order, the accounting totals, and the validation diagnostics
-/// must be bit-identical to the sequential engine — which in turn matches
-/// the historical vector-of-vectors reference. Exercised on the PR-1
-/// randomized stress harness (stress_util.h) over several topologies, on
-/// multi-phase reuse of one Network, on aborted phases, on mid-life thread
-/// count switches, and end to end on the shortcut-Boruvka MST pipeline.
+/// The engine's determinism contract (network.h, "Two executors"): at every
+/// thread count and executor threshold, `PhaseStats`, per-node inbox
+/// contents, delivery order, the accounting totals, and the validation
+/// diagnostics must be bit-identical to the threads=1 run. threads=1 runs
+/// the same round pipeline as every other count, so it is not an oracle by
+/// itself: it is checked against the historical vector-of-vectors
+/// reference engine (`testutil::reference_run`) on every phase. Exercised
+/// on the randomized stress harness (stress_util.h) over several
+/// topologies, on multi-phase reuse of one Network, on aborted phases, on
+/// mid-life thread count switches, and end to end on the shortcut-Boruvka
+/// MST pipeline.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -52,10 +55,10 @@ struct StressOptions {
   int threads = 1;
   bool validate = true;
   int phases = 3;
-  /// Adaptive-fallback threshold: 0 pins every round to the parallel
-  /// promotion path; kDefaultParallelRoundThreshold leaves the engine's
-  /// own tiny-round fallback in charge; small positive values make rounds
-  /// flip between the paths inside one phase.
+  /// Executor threshold: 0 pins every round to the pool executor;
+  /// kDefaultParallelRoundThreshold leaves tiny rounds on the calling
+  /// thread; small positive values make rounds flip between the two
+  /// executors inside one phase.
   std::int64_t threshold = Network::kDefaultParallelRoundThreshold;
   /// Send/wake dice (see StressBehavior); the default is the PR-1 load.
   std::uint64_t start_send_mod = 4;
@@ -92,6 +95,21 @@ StressObservation run_stress(const Graph& g, const StressOptions& opt) {
   return obs;
 }
 
+/// The reference engine's observation of the phases `run_stress` runs: one
+/// `reference_run` per phase, each appending to the same per-node logs.
+StressObservation reference_stress(const Graph& g, const StressOptions& opt) {
+  StressObservation obs;
+  obs.logs.resize(static_cast<std::size_t>(g.num_nodes()));
+  for (int phase = 0; phase < opt.phases; ++phase) {
+    const PhaseStats stats =
+        reference_run(g, behavior_for(opt, phase), obs.logs);
+    obs.phase_stats.push_back(stats);
+    obs.total_rounds += stats.rounds;
+    obs.total_messages += stats.messages;
+  }
+  return obs;
+}
+
 StressObservation run_stress(const Graph& g, int threads, bool validate,
                              int phases = 3) {
   return run_stress(
@@ -113,22 +131,18 @@ void expect_identical(const StressObservation& got,
   ASSERT_EQ(got.logs, want.logs) << "threads=" << threads;
 }
 
-/// The acceptance matrix: sequential observation (itself checked against
-/// the historical reference engine) vs 2, 3, and 8 threads, each at three
-/// fallback thresholds — 0 (every round takes the parallel promotion
-/// path), 48 (rounds flip between the parallel and sequential paths
-/// inside one phase, exercising the lane/fill-slab handovers), and the
-/// default (tiny rounds fall back on their own).
+/// The acceptance matrix: the threads=1 observation (itself checked
+/// against the reference engine on every phase) vs 2, 3, and 8 threads,
+/// each at three executor thresholds — 0 (every round on the pool), 48
+/// (rounds flip between the pool and the calling thread inside one phase)
+/// and the default (tiny rounds stay on the calling thread).
 void run_determinism_matrix(const Graph& g, bool validate) {
-  const StressObservation seq = run_stress(g, /*threads=*/1, validate);
+  const StressOptions seq_opt{.threads = 1, .validate = validate};
+  const StressObservation seq = run_stress(g, seq_opt);
 
-  // Anchor the sequential engine to the vector-of-vectors ground truth on
-  // the first phase's workload.
-  std::vector<std::vector<DeliveryRecord>> ref_logs(
-      static_cast<std::size_t>(g.num_nodes()));
-  const PhaseStats ref = reference_run(g, StressBehavior{0x5eed0000}, ref_logs);
-  EXPECT_EQ(seq.phase_stats.front().rounds, ref.rounds);
-  EXPECT_EQ(seq.phase_stats.front().messages, ref.messages);
+  // Anchor threads=1 to the vector-of-vectors ground truth: every phase's
+  // stats, the totals, and every delivery in order.
+  expect_identical(seq, reference_stress(g, seq_opt), /*threads=*/1);
 
   for (const int threads : {2, 3, 8}) {
     for (const std::int64_t threshold :
@@ -169,7 +183,7 @@ TEST(ParallelDeterminism, HardwareConcurrencyRequestMatchesSequential) {
   EXPECT_GE(probe.threads(), 1);
   const StressObservation seq = run_stress(g, 1, /*validate=*/true);
   const StressObservation hw = run_stress(
-      g, StressOptions{.threads = 0, .threshold = 0});  // pin parallel path
+      g, StressOptions{.threads = 0, .threshold = 0});  // pin the pool
   expect_identical(hw, seq, probe.threads());
 }
 
@@ -182,13 +196,8 @@ TEST(ParallelPromotion, HeavyTrafficMatchesSequentialEverywhere) {
   const StressOptions seq_opt{.threads = 1, .start_send_mod = 2,
                               .round_send_mod = 2, .wake_mod = 3};
   const StressObservation seq = run_stress(g, seq_opt);
-
-  std::vector<std::vector<DeliveryRecord>> ref_logs(
-      static_cast<std::size_t>(g.num_nodes()));
-  const PhaseStats ref =
-      reference_run(g, behavior_for(seq_opt, 0), ref_logs);
-  ASSERT_EQ(seq.phase_stats.front().rounds, ref.rounds);
-  ASSERT_EQ(seq.phase_stats.front().messages, ref.messages);
+  expect_identical(seq, reference_stress(g, seq_opt), /*threads=*/1);
+  ASSERT_FALSE(HasFailure()) << "threads=1 diverged from the reference";
 
   for (const int threads : {2, 3, 8}) {
     for (const bool validate : {true, false}) {
@@ -203,8 +212,8 @@ TEST(ParallelPromotion, HeavyTrafficMatchesSequentialEverywhere) {
 
 TEST(ParallelPromotion, ThresholdCrossingsInsideOnePhaseMatchSequential) {
   // Thresholds chosen around the stress workload's per-round volume, so
-  // one phase repeatedly hands the pending sends between the worker lanes
-  // and the sequential fill slab in both directions.
+  // one phase repeatedly switches between the pool and the calling thread
+  // in both directions.
   const Graph g = make_erdos_renyi(200, 0.04, 9);
   const StressObservation seq = run_stress(g, 1, /*validate=*/true);
   for (const std::int64_t threshold : {16, 64, 160, 400, 1000}) {
@@ -216,9 +225,9 @@ TEST(ParallelPromotion, ThresholdCrossingsInsideOnePhaseMatchSequential) {
 
 TEST(ParallelDeterminism, ThreadCountSwitchesMidLifeKeepObservables) {
   // One Network, one phase per (thread count, fallback threshold) pair,
-  // in an order that grows and shrinks the pool and flips promotion
-  // between the parallel and fallback paths. Every phase must reproduce
-  // the stats and logs of the corresponding all-sequential run.
+  // in an order that grows and shrinks the pool and flips rounds between
+  // the two executors. Every phase must reproduce the stats and logs of
+  // the corresponding threads=1 run.
   const Graph g = make_grid(10, 6);
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const StressObservation seq = run_stress(g, 1, /*validate=*/true, 4);
@@ -245,10 +254,10 @@ TEST(ParallelDeterminism, ThreadCountSwitchesMidLifeKeepObservables) {
 }
 
 // ---------------------------------------------------------------------------
-// CONGEST faithfulness checks in parallel mode: the same violations that
-// the sequential engine diagnoses must be diagnosed at every thread count
-// (the double-send check runs in the deterministic lane merge; the
-// incidence checks run inside the workers).
+// CONGEST faithfulness checks on the pool: the same violations that
+// threads=1 diagnoses must be diagnosed at every thread count (the
+// double-send check runs in the deterministic lane merge; the incidence
+// checks run inside the workers).
 
 class DoubleSendProcess final : public Process {
  public:
@@ -281,7 +290,7 @@ TEST(ParallelValidation, DoubleSendThrowsAtEveryThreadCount) {
   for (const int threads : {2, 3, 8}) {
     Network net(g);
     net.set_threads(threads);
-    net.set_parallel_round_threshold(0);  // pin the parallel merge path
+    net.set_parallel_round_threshold(0);  // merge on the pool
     std::vector<DoubleSendProcess> procs;
     for (NodeId v = 0; v < g.num_nodes(); ++v) procs.emplace_back(v);
     EXPECT_THROW(congest::run_phase(net, procs), CheckFailure)
@@ -303,8 +312,8 @@ TEST(ParallelValidation, NonIncidentSendThrowsAtEveryThreadCount) {
 }
 
 TEST(ParallelValidation, ValidationOffDeliversViolationLikeSequential) {
-  // With validation off the parallel engine, like the sequential one,
-  // skips the checks entirely and delivers both messages.
+  // With validation off the pool executor, like threads=1, skips the
+  // checks entirely and delivers both messages.
   const Graph g = make_path(2);
   Network net(g);
   net.set_validate(false);
@@ -422,8 +431,8 @@ TEST(NetworkGuards, SetParallelThresholdInsideRunningPhaseThrows) {
 
 // ---------------------------------------------------------------------------
 // Engine limits: a node's per-round inbox count saturating at 2^31 - 1
-// must be diagnosed at the send that would overflow it — on the
-// sequential path and in the parallel merge replay — never wrap silently.
+// must be diagnosed at the message that would overflow it — in the merge
+// on the calling thread and on the pool — never wrap silently.
 // NetworkTestPeer primes the counter; actually sending 2^31 messages
 // would need a ~100 GB slab.
 
@@ -519,7 +528,7 @@ TEST(NetworkTickWrap, ObservablesSurviveStampWrapMidRun) {
 // ---------------------------------------------------------------------------
 // End-to-end pipeline invariance: the shortcut-Boruvka MST — BFS tree
 // build, FindShortcut with doubling, MWOE routing, merges — on a
-// multi-threaded Network must reproduce the sequential run bit for bit:
+// multi-threaded Network must reproduce the threads=1 run bit for bit:
 // same tree, same MST, same phase/round/message accounting.
 
 TEST(ParallelPipeline, ShortcutMstIsThreadCountInvariant) {

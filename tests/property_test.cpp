@@ -82,10 +82,10 @@ Scenario make_scenario(const std::string& family, std::uint64_t seed) {
   return {family, make_path(2), make_whole_graph_partition(2), 0};
 }
 
-/// (family, seed, engine thread count): every suite below runs once on the
-/// sequential engine and once on a multi-threaded Network, proving the
-/// full pipelines are thread-count-invariant end to end (the engine's
-/// determinism contract, network.h "Parallel mode").
+/// (family, seed, engine thread count): every suite below runs once on a
+/// one-thread and once on a multi-threaded Network, proving the full
+/// pipelines are thread-count-invariant end to end (the engine's
+/// determinism contract, network.h "Two executors").
 class PipelineProperty : public ::testing::TestWithParam<
                              std::tuple<std::string, std::uint64_t, int>> {};
 

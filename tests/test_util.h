@@ -21,10 +21,10 @@ namespace lcs::testutil {
 /// Graph + simulator + distributed BFS tree, ready for shortcut phases.
 /// `threads` selects the engine's worker count (Network::set_threads) and
 /// is applied before the BFS construction so the tree build itself runs on
-/// the requested thread count too. Threaded Sims pin the adaptive
-/// fallback threshold to 0: the test graphs are small enough that the
-/// default threshold would silently route every round onto the sequential
-/// path, and these suites exist to exercise the parallel one.
+/// the requested thread count too. Threaded Sims pin the executor
+/// threshold to 0: the test graphs are small enough that the default
+/// threshold would run every round on the calling thread, and these
+/// suites exist to exercise the worker pool.
 struct Sim {
   const Graph* graph;
   congest::Network net;

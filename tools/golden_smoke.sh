@@ -10,9 +10,12 @@
 #      tests/goldens/ — any drift in round/message accounting, shortcut
 #      quality, graph generation, or report formatting fails the gate;
 #   2. re-runs each cell at --threads 2 and 4 with --parallel-threshold=0
-#      (every round forced through the parallel engine path) and requires
-#      the report to be bit-identical to the single-threaded one — the
-#      engine's determinism contract, observed end to end.
+#      (every round run on the engine's worker pool) and requires the
+#      report to be bit-identical to the single-threaded one — the engine's
+#      determinism contract, observed end to end.
+#
+# Cells run concurrently, at most `nproc` at a time; failure messages are
+# printed per cell, in launch order, after all cells finish.
 #
 # The matrix also pins one `--sweep` invocation (a JSON array of per-point
 # reports), so the sweep plumbing is under the same byte-exact gate.
@@ -60,117 +63,67 @@ add corpus   "file:corpus.bin"
 
 ALGOS=(components mst mincut aggregate shortcut)
 
-fail=0
-for i in "${!NAMES[@]}"; do
-  name=${NAMES[$i]}
-  spec=${SPECS[$i]}
-  for algo in "${ALGOS[@]}"; do
-    out="$TMP/$name.$algo.json"
-    if ! "$LCS_RUN" --algo="$algo" --scenario="$spec" --seed=7 \
-        --validate --no-timing --out="$out"; then
-      echo "FAIL: $name/$algo exited nonzero (validation or runtime error)" >&2
-      fail=1
-      continue
-    fi
-
-    golden="$GOLDENS/$name.$algo.json"
-    if [[ "$UPDATE" == "--update" ]]; then
-      mkdir -p "$GOLDENS"
-      cp "$out" "$golden"
-    elif ! diff -u "$golden" "$out" >&2; then
-      echo "FAIL: $name/$algo drifted from the committed golden" >&2
-      echo "      (deliberate edge-stream/schema change? regenerate ALL" >&2
-      echo "      goldens in the same PR: tools/regen_goldens.sh)" >&2
-      fail=1
-    fi
-
-    for threads in 2 4; do
-      tout="$TMP/$name.$algo.t$threads.json"
-      if ! "$LCS_RUN" --algo="$algo" --scenario="$spec" --seed=7 \
-          --validate --no-timing --threads="$threads" --parallel-threshold=0 \
-          --out="$tout"; then
-        echo "FAIL: $name/$algo exited nonzero at --threads $threads" >&2
-        fail=1
-        continue
-      fi
-      if ! diff -u "$out" "$tout" >&2; then
-        echo "FAIL: $name/$algo not bit-identical at --threads $threads" >&2
-        fail=1
-      fi
-    done
-  done
-done
-
-# Backend cells: the same byte-exact gate over the non-default shortcut
-# constructions (--backend). One ktree scenario, every registered backend —
-# kkoi19 (treewidth elimination tree) is only applicable there. Besides
-# pinning the reports, this section asserts the quality claim the backends
-# exist for: kkoi19's congestion on this cell is STRICTLY below hiz16's
-# (the elimination tree keeps every part's Steiner subtree narrow).
-BK_NAMES=()
-BK_SPECS=()
-BK_BACKENDS=()
-bk_add() { BK_NAMES+=("$1"); BK_SPECS+=("$2"); BK_BACKENDS+=("$3"); }
-bk_add ktree400 "ktree:n=400,k=4,seed=3" hiz16
-bk_add ktree400 "ktree:n=400,k=4,seed=3" kkoi19
-bk_add ktree400 "ktree:n=400,k=4,seed=3" naive
-
-congestion_of() {  # first "congestion" value in a report
-  grep -o '"congestion": [0-9]*' "$1" | head -1 | grep -o '[0-9]*'
-}
-
-for i in "${!BK_NAMES[@]}"; do
-  name=${BK_NAMES[$i]}
-  spec=${BK_SPECS[$i]}
-  be=${BK_BACKENDS[$i]}
-  out="$TMP/$name.$be.json"
-  if ! "$LCS_RUN" --algo=shortcut --scenario="$spec" --backend="$be" \
-      --seed=7 --validate --no-timing --out="$out"; then
-    echo "FAIL: $name/$be exited nonzero (validation or runtime error)" >&2
-    fail=1
-    continue
+# check_cell LABEL KEY NONZERO_NOTE HINT LCS_RUN_ARGS...
+# One cell of the matrix: the single-threaded report ($TMP/KEY.json) is
+# diffed against (or, with --update, copied to) the golden $GOLDENS/KEY.json,
+# then re-run at --threads 2 and 4 with --parallel-threshold=0 and diffed
+# against the single-threaded one. LABEL names the cell in failure
+# messages, NONZERO_NOTE follows "exited nonzero" and HINT follows a drift
+# report. Prints failures on stderr; returns 1 if any.
+check_cell() {
+  local label=$1 key=$2 nonzero_note=$3 hint=$4
+  shift 4
+  local out="$TMP/$key.json" golden="$GOLDENS/$key.json" failed=0
+  if ! "$LCS_RUN" "$@" --validate --no-timing --out="$out"; then
+    echo "FAIL: $label exited nonzero$nonzero_note" >&2
+    return 1
   fi
-
-  golden="$GOLDENS/$name.$be.json"
   if [[ "$UPDATE" == "--update" ]]; then
     cp "$out" "$golden"
   elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: $name/$be drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
+    echo "FAIL: $label drifted from the committed golden" >&2
+    [[ -z "$hint" ]] || echo "$hint" >&2
+    failed=1
   fi
-
+  local threads tout
   for threads in 2 4; do
-    tout="$TMP/$name.$be.t$threads.json"
-    if ! "$LCS_RUN" --algo=shortcut --scenario="$spec" --backend="$be" \
-        --seed=7 --validate --no-timing --threads="$threads" \
+    tout="$TMP/$key.t$threads.json"
+    if ! "$LCS_RUN" "$@" --validate --no-timing --threads="$threads" \
         --parallel-threshold=0 --out="$tout"; then
-      echo "FAIL: $name/$be exited nonzero at --threads $threads" >&2
-      fail=1
-      continue
-    fi
-    if ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: $name/$be not bit-identical at --threads $threads" >&2
-      fail=1
+      echo "FAIL: $label exited nonzero at --threads $threads" >&2
+      failed=1
+    elif ! diff -u "$out" "$tout" >&2; then
+      echo "FAIL: $label not bit-identical at --threads $threads" >&2
+      failed=1
     fi
   done
-done
+  return "$failed"
+}
 
-hiz16_cong=$(congestion_of "$TMP/ktree400.hiz16.json")
-kkoi19_cong=$(congestion_of "$TMP/ktree400.kkoi19.json")
-if [[ -z "$hiz16_cong" || -z "$kkoi19_cong" ||
-      "$kkoi19_cong" -ge "$hiz16_cong" ]]; then
-  echo "FAIL: kkoi19 congestion ($kkoi19_cong) is not strictly below" \
-       "hiz16's ($hiz16_cong) on ktree400" >&2
-  fail=1
-fi
+# Cells run concurrently, at most one per CPU. Each writes its messages to
+# its own log, printed in launch order once all have finished, so the
+# output does not depend on scheduling.
+JOBS=$(nproc 2>/dev/null || echo 1)
+NCELLS=0
+spawn_cell() {
+  local idx=$NCELLS
+  NCELLS=$((NCELLS + 1))
+  while [[ $(jobs -rp | wc -l) -ge $JOBS ]]; do wait -n || true; done
+  { check_cell "$@" 2>"$TMP/cell$idx.log" || touch "$TMP/cell$idx.failed"; } &
+}
+
+[[ "$UPDATE" != "--update" ]] || mkdir -p "$GOLDENS"
+REGEN_ALL_HINT="      (deliberate edge-stream/schema change? regenerate ALL
+      goldens in the same PR: tools/regen_goldens.sh)"
+REGEN_HINT="      (deliberate change? regenerate: tools/regen_goldens.sh)"
 
 # Churn cells: the acceptance loop for the dynamic subsystem. Each drives a
 # 1000-step verified insert/delete stream (every mutation checked against
 # the from-scratch components + MSF oracles) over a different family, and
 # --validate adds a distributed-MST engine run over the final snapshot — so
-# the threads 2/4 re-runs exercise the parallel engine path and the whole
-# report must stay bit-identical.
+# the threads 2/4 re-runs exercise the engine's worker pool and the whole
+# report must stay bit-identical. They are the slowest cells (churn_ktree300
+# alone runs ~7 s per thread count), so they are launched first.
 CHURN_NAMES=()
 CHURN_SPECS=()
 churn_add() { CHURN_NAMES+=("$1"); CHURN_SPECS+=("$2"); }
@@ -182,69 +135,54 @@ churn_add churn_ba300 \
   "churn:base=ba:n=300,m=3,seed=4;steps=1000,rate=0.03,seed=7,verify=sample,vperiod=32"
 
 for i in "${!CHURN_NAMES[@]}"; do
-  name=${CHURN_NAMES[$i]}
-  spec=${CHURN_SPECS[$i]}
-  out="$TMP/$name.churn.json"
-  if ! "$LCS_RUN" --algo=churn --scenario="$spec" --seed=7 \
-      --validate --no-timing --out="$out"; then
-    echo "FAIL: $name exited nonzero (verification or runtime error)" >&2
-    fail=1
-    continue
-  fi
+  spawn_cell "${CHURN_NAMES[$i]}" "${CHURN_NAMES[$i]}.churn" \
+    " (verification or runtime error)" "$REGEN_HINT" \
+    --algo=churn --scenario="${CHURN_SPECS[$i]}" --seed=7
+done
 
-  golden="$GOLDENS/$name.churn.json"
-  if [[ "$UPDATE" == "--update" ]]; then
-    cp "$out" "$golden"
-  elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: $name drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
-  fi
-
-  for threads in 2 4; do
-    tout="$TMP/$name.churn.t$threads.json"
-    if ! "$LCS_RUN" --algo=churn --scenario="$spec" --seed=7 \
-        --validate --no-timing --threads="$threads" --parallel-threshold=0 \
-        --out="$tout"; then
-      echo "FAIL: $name exited nonzero at --threads $threads" >&2
-      fail=1
-      continue
-    fi
-    if ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: $name not bit-identical at --threads $threads" >&2
-      fail=1
-    fi
+for i in "${!NAMES[@]}"; do
+  for algo in "${ALGOS[@]}"; do
+    spawn_cell "${NAMES[$i]}/$algo" "${NAMES[$i]}.$algo" \
+      " (validation or runtime error)" "$REGEN_ALL_HINT" \
+      --algo="$algo" --scenario="${SPECS[$i]}" --seed=7
   done
+done
+
+# Backend cells: the same byte-exact gate over the non-default shortcut
+# constructions (--backend). One ktree scenario, every registered backend —
+# kkoi19 (treewidth elimination tree) is only applicable there. Besides
+# pinning the reports, this section asserts the quality claim the backends
+# exist for: kkoi19's congestion on this cell is STRICTLY below hiz16's
+# (the elimination tree keeps every part's Steiner subtree narrow).
+for be in hiz16 kkoi19 naive; do
+  spawn_cell "ktree400/$be" "ktree400.$be" " (validation or runtime error)" \
+    "$REGEN_HINT" --algo=shortcut --scenario="ktree:n=400,k=4,seed=3" \
+    --backend="$be" --seed=7
 done
 
 # One --sweep cell: a JSON array of per-point reports, byte-pinned and
 # thread-invariant like every single-run cell.
-SWEEP_ARGS=(--algo=components --scenario="er:n=100,deg=4,seed=5"
-            --sweep="n=100..400:x2" --seed=7 --validate --no-timing)
-out="$TMP/sweep_er.components.json"
-if ! "$LCS_RUN" "${SWEEP_ARGS[@]}" --out="$out"; then
-  echo "FAIL: sweep_er/components exited nonzero" >&2
+spawn_cell sweep_er/components sweep_er.components "" "$REGEN_HINT" \
+  --algo=components --scenario="er:n=100,deg=4,seed=5" \
+  --sweep="n=100..400:x2" --seed=7
+
+wait
+fail=0
+for ((i = 0; i < NCELLS; i++)); do
+  cat "$TMP/cell$i.log" >&2
+  [[ ! -e "$TMP/cell$i.failed" ]] || fail=1
+done
+
+congestion_of() {  # first "congestion" value in a report
+  grep -o '"congestion": [0-9]*' "$1" | head -1 | grep -o '[0-9]*'
+}
+hiz16_cong=$(congestion_of "$TMP/ktree400.hiz16.json" || true)
+kkoi19_cong=$(congestion_of "$TMP/ktree400.kkoi19.json" || true)
+if [[ -z "$hiz16_cong" || -z "$kkoi19_cong" ||
+      "$kkoi19_cong" -ge "$hiz16_cong" ]]; then
+  echo "FAIL: kkoi19 congestion ($kkoi19_cong) is not strictly below" \
+       "hiz16's ($hiz16_cong) on ktree400" >&2
   fail=1
-else
-  golden="$GOLDENS/sweep_er.components.json"
-  if [[ "$UPDATE" == "--update" ]]; then
-    cp "$out" "$golden"
-  elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: sweep_er/components drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
-  fi
-  for threads in 2 4; do
-    tout="$TMP/sweep_er.components.t$threads.json"
-    if ! "$LCS_RUN" "${SWEEP_ARGS[@]}" --threads="$threads" \
-        --parallel-threshold=0 --out="$tout"; then
-      echo "FAIL: sweep_er/components exited nonzero at --threads $threads" >&2
-      fail=1
-    elif ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: sweep_er/components not bit-identical at --threads $threads" >&2
-      fail=1
-    fi
-  done
 fi
 
 if [[ "$UPDATE" == "--update" ]]; then
@@ -255,4 +193,4 @@ if [[ $fail -ne 0 ]]; then
   echo "golden matrix: FAILED" >&2
   exit 1
 fi
-echo "golden matrix: ${#NAMES[@]} scenarios x ${#ALGOS[@]} algorithms + ${#BK_NAMES[@]} backend + ${#CHURN_NAMES[@]} churn + 1 sweep OK (threads 1/2/4 bit-identical)"
+echo "golden matrix: ${#NAMES[@]} scenarios x ${#ALGOS[@]} algorithms + 3 backend + ${#CHURN_NAMES[@]} churn + 1 sweep OK (threads 1/2/4 bit-identical)"

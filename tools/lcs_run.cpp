@@ -80,8 +80,9 @@ constexpr const char* kUsage = R"(usage: lcs_run --algo=ALGO --scenario=SPEC [op
                      centralized oracle (nonzero exit on mismatch)
   --metrics          include expensive graph metrics in the report
   --no-timing        omit the timing object (byte-stable golden output)
-  --parallel-threshold=N  engine adaptive-fallback override (0 = always
-                     parallel; default: engine built-in)
+  --parallel-threshold=N  engine rounds with less work (messages + active
+                     nodes) run on the calling thread, larger ones on the
+                     worker pool (0 = always the pool; default: built-in)
   --save-graph=PATH  also save the scenario's graph as a binary cache
   --out=PATH         write the JSON report to PATH instead of stdout
   --list             list registered scenario families and exit

@@ -47,7 +47,7 @@ add agg '{"id":"agg","algo":"aggregate","scenario":"wheel:n=65,arcs=4","seed":7,
 add short '{"id":"short","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"validate":true,"timing":false}' \
   '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --validate --no-timing'
 # Engine-thread dimension: served bytes must match lcs_run at --threads
-# 2 and 4 too (with the adaptive fallback disabled, as in golden_smoke.sh
+# 2 and 4 too (with every round on the worker pool, as in golden_smoke.sh
 # — and the engine's own contract makes all three thread counts
 # bit-identical to each other).
 add short_t2 '{"id":"short_t2","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":2,"parallel_threshold":0,"validate":true,"timing":false}' \
