@@ -8,6 +8,8 @@
 /// the smallest-id alive outgoing edge, with fragment aggregation running
 /// on freshly constructed tree-restricted shortcuts (communication may use
 /// every physical edge; only candidate edges are filtered to `edge_alive`).
+/// It is the MST's phase loop (`run_shortcut_boruvka`,
+/// mst/boruvka_shortcut.h) with the alive-edge candidate rule.
 #pragma once
 
 #include "congest/network.h"

@@ -396,8 +396,8 @@ Cell churn_cell(const RunOptions& o, const RunHooks& hooks) {
       congest::Network net(snap.graph);
       net.set_validate(true);
       net.set_threads(o.threads);
-      if (o.parallel_threshold >= 0)
-        net.set_parallel_round_threshold(o.parallel_threshold);
+      if (o.parallel_threshold)
+        net.set_parallel_round_threshold(*o.parallel_threshold);
       const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
       ShortcutMstOptions opts;
       opts.seed = o.seed;
@@ -697,8 +697,8 @@ Cell algo_cell(const RunOptions& o, const RunHooks& hooks) {
     net.emplace(sc.graph);
     net->set_validate(o.validate);
     net->set_threads(o.threads);
-    if (o.parallel_threshold >= 0)
-      net->set_parallel_round_threshold(o.parallel_threshold);
+    if (o.parallel_threshold)
+      net->set_parallel_round_threshold(*o.parallel_threshold);
   };
 
   RunReport rep;
@@ -870,14 +870,17 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
 
 }  // namespace
 
-int run_document(const RunOptions& o, const RunHooks& hooks,
-                 std::string& out) {
+void check_run_options(const RunOptions& o) {
   LCS_CHECK(!o.scenario.empty(), "missing --scenario (see --help)");
   LCS_CHECK(!o.algo.empty(), "missing --algo (see --help)");
   LCS_CHECK(o.threads >= 0 && o.threads <= kMaxThreads,
             "--threads must be in [0, " + std::to_string(kMaxThreads) +
                 "] (0 = hardware concurrency), got " +
                 std::to_string(o.threads));
+  LCS_CHECK(!o.parallel_threshold || *o.parallel_threshold >= 0,
+            "--parallel-threshold must be non-negative (0 = always the "
+            "worker pool), got " +
+                std::to_string(o.parallel_threshold.value_or(0)));
   LCS_CHECK(o.sweep.empty() || o.save_graph_path.empty(),
             "--save-graph with --sweep would overwrite the same path at "
             "every point; save single runs instead");
@@ -890,6 +893,11 @@ int run_document(const RunOptions& o, const RunHooks& hooks,
   LCS_CHECK(o.sweep.empty() || !dynamic::is_churn_spec(o.scenario),
             "--sweep cannot rewrite a churn: wrapper spec; pass the base "
             "spec via --scenario and the churn parameters via --churn");
+}
+
+int run_document(const RunOptions& o, const RunHooks& hooks,
+                 std::string& out) {
+  check_run_options(o);
 
   // Buffer the whole document and hand it back only once it is complete: a
   // failing run (bad spec, mid-sweep CheckFailure) must never leave partial

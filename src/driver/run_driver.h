@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -61,7 +62,8 @@ struct RunOptions {
   std::string sweep;            ///< empty = single run
   std::string save_graph_path;  ///< empty = don't save
   int threads = 1;  ///< 0 = hardware concurrency; at most kMaxThreads
-  std::int64_t parallel_threshold = -1;  ///< engine default
+  /// Engine executor threshold (>= 0); empty = the engine default.
+  std::optional<std::int64_t> parallel_threshold;
   std::uint64_t seed = 1;
   double fail_rate = 0.25;  ///< components: failed-edge fraction
   bool validate = false;
@@ -98,6 +100,13 @@ struct RunHooks {
                      const std::shared_ptr<const ShortcutRunRecord>&)>
       store_shortcut_record;
 };
+
+/// The option checks run_document starts with: throws CheckFailure on the
+/// first option a run would reject (missing algo or scenario, an engine
+/// thread count or threshold out of range, flags that do not combine). A
+/// cache that answers without calling run_document calls this first, so
+/// a cached answer never stands in for an error.
+void check_run_options(const RunOptions& options);
 
 /// Run the request and append the complete JSON document (trailing newline
 /// included) to `out`. Returns 0, or 1 when `validate` found a mismatch

@@ -18,16 +18,18 @@
 
 namespace lcs {
 
-DistributedMst mst_boruvka_shortcut(congest::Network& net,
-                                    const SpanningTree& tree,
-                                    const ShortcutMstOptions& options) {
+ShortcutBoruvkaResult run_shortcut_boruvka(
+    congest::Network& net, const SpanningTree& tree,
+    const FragmentCandidates& candidates, std::uint64_t seed,
+    std::uint64_t salt, FindShortcutParams params) {
   const Graph& g = net.graph();
   const NodeId n = net.num_nodes();
   const std::int64_t rounds_before = net.total_rounds();
 
-  Partition fragments = make_singleton_partition(n);
-  std::vector<bool> mst_edge(static_cast<std::size_t>(g.num_edges()), false);
-  FindShortcutParams params = options.shortcut_params;
+  ShortcutBoruvkaResult result;
+  result.fragments = make_singleton_partition(n);
+  result.merge_edge.assign(static_cast<std::size_t>(g.num_edges()), false);
+  Partition& fragments = result.fragments;
 
   const std::int32_t max_phases =
       8 * util::checked_trunc<std::int32_t>(
@@ -42,7 +44,7 @@ DistributedMst mst_boruvka_shortcut(congest::Network& net,
         exchange_neighbor_parts(net, fragments);
 
     // (2) Shortcut for the current fragments (Appendix-A doubling).
-    params.seed = hash64(options.seed, 0xC0FFEE, phase);
+    params.seed = hash64(seed, salt, phase);
     const FindShortcutResult found =
         find_shortcut_doubling(net, tree, fragments, params);
     params.c = found.stats.used_c;  // warm start for the next phase
@@ -50,14 +52,14 @@ DistributedMst mst_boruvka_shortcut(congest::Network& net,
     const std::int32_t b_steps = 3 * found.stats.used_b;
 
     // (3) Fragment MWOE via Theorem-2 min-flood on the shortcut.
-    const auto local = local_mwoe_candidates(g, fragments, neighbor_parts);
+    const auto local = candidates(fragments, neighbor_parts);
     const auto mwoe =
         part_min_flood(net, tree, fragments, found.state, neighbor_parts,
                        b_steps, local);
 
-    // (4) Star merges: mark MST edges, propose, broadcast, apply.
+    // (4) Star merges: mark merge edges, propose, broadcast, apply.
     StarMergeStep step = star_merge_step(g, fragments, neighbor_parts, mwoe,
-                                         options.seed, phase, mst_edge);
+                                         seed, phase, result.merge_edge);
     const auto delivered =
         part_broadcast(net, tree, fragments, found.state, neighbor_parts,
                        b_steps, step.proposals);
@@ -67,8 +69,22 @@ DistributedMst mst_boruvka_shortcut(congest::Network& net,
     if (!global_or(net, tree, step.has_outgoing)) break;
   }
 
-  return finish_mst(g, mst_edge, phase + 1,
-                    net.total_rounds() - rounds_before);
+  result.phases = phase + 1;
+  result.rounds = net.total_rounds() - rounds_before;
+  return result;
+}
+
+DistributedMst mst_boruvka_shortcut(congest::Network& net,
+                                    const SpanningTree& tree,
+                                    const ShortcutMstOptions& options) {
+  const Graph& g = net.graph();
+  const ShortcutBoruvkaResult run = run_shortcut_boruvka(
+      net, tree,
+      [&g](const Partition& fragments, const NeighborParts& neighbor_parts) {
+        return local_mwoe_candidates(g, fragments, neighbor_parts);
+      },
+      options.seed, 0xC0FFEE, options.shortcut_params);
+  return finish_mst(g, run.merge_edge, run.phases, run.rounds);
 }
 
 }  // namespace lcs

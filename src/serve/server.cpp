@@ -156,6 +156,10 @@ Server::Response Server::handle_line(const std::string& line) {
       ++requests_served_;
       const auto it = response_memo_.find(memo_key);
       if (it != response_memo_.end()) {
+        // The key leaves out threads and the engine threshold, which
+        // never change a report's bytes; a hit must still reject what
+        // run_document would reject.
+        driver::check_run_options(o);
         ++response_memo_hits_;
         r.rc = it->second.first;
         r.body = it->second.second;

@@ -158,9 +158,8 @@ void run_superstep(congest::Network& net, const SpanningTree& tree,
 
   // Singleton components never exchange intra-component messages: their
   // aggregate is the node's own contribution (a local computation, zero
-  // rounds).
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (!state.own_singleton[static_cast<std::size_t>(v)]) continue;
+  // rounds). The list is ascending, so the hooks fire in node order.
+  for (const NodeId v : state.singletons) {
     const PartId j = partition.part(v);
     hooks.on_aggregate(v, j, hooks.contribution(v, j));
   }

@@ -15,7 +15,8 @@
 /// Running the cross-edge exchange *first* guarantees that all nodes of a
 /// component end every superstep agreeing on the component state (the final
 /// word every node saw is the component aggregate).
-/// Singleton components short-circuit steps 2–3 locally (zero rounds).
+/// Singleton components short-circuit steps 2–3 locally (zero rounds),
+/// in O(singletons) local work over the state's ascending singleton list.
 ///
 /// Verification and all part-level primitives are loops of this superstep
 /// with different hooks.
@@ -78,8 +79,8 @@ struct SuperstepScratch {
   std::uint64_t stamp = 0;
 };
 
-/// Execute one superstep over `state.plan`. Rounds are accounted in `net`;
-/// O(D + c) per call.
+/// Execute one superstep over `state.plan` and `state.singletons`. Rounds
+/// are accounted in `net`; O(D + c) per call.
 void run_superstep(congest::Network& net, const SpanningTree& tree,
                    const Partition& partition, const ShortcutState& state,
                    const NeighborParts& neighbor_parts,

@@ -88,24 +88,6 @@ RoutingPlan compile_routing_plan(const SpanningTree& tree,
   return plan;
 }
 
-void attach_root_depths(
-    RoutingPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge) {
-  for (std::size_t v = 0; v + 1 < plan.entry_begin.size(); ++v) {
-    const EdgeId pe = tree.parent_edge[v];
-    if (pe == kNoEdge) continue;
-    const auto& depths = root_depth_on_edge[static_cast<std::size_t>(pe)];
-    LCS_CHECK(shortcut.parts_on_edge[static_cast<std::size_t>(pe)].size() ==
-                  depths.size(),
-              "root depths misaligned with shortcut");
-    // v's parent entries are exactly the parent edge's parts, in order.
-    std::size_t k = 0;
-    for (std::size_t e = plan.entry_begin[v]; e < plan.entry_begin[v + 1]; ++e)
-      if (plan.entries[e].has_parent)
-        plan.entries[e].parent_root_depth = depths[k++];
-  }
-}
-
 void RoutingScratch::fit(const RoutingPlan& plan) {
   const std::size_t n = plan.entry_begin.size() - 1;
   const std::size_t num_entries = plan.entries.size();
@@ -381,32 +363,6 @@ congest::PhaseStats run_component_convergecast(
   ConvergecastPhase phase(tree, plan, scratch, contribution, combine,
                           on_root_result, priority);
   return congest::run_phase_shared(net, phase);
-}
-
-congest::PhaseStats run_component_broadcast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::function<std::uint64_t(NodeId, PartId)>& root_value,
-    const std::function<void(NodeId, PartId, std::uint64_t, std::int32_t)>&
-        on_receive,
-    RoutingPriority priority) {
-  const RoutingPlan plan = compile_routing_plan(tree, shortcut);
-  RoutingScratch scratch;
-  return run_component_broadcast(net, tree, plan, scratch, root_value,
-                                 on_receive, priority);
-}
-
-congest::PhaseStats run_component_convergecast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge,
-    const std::function<std::uint64_t(NodeId, PartId)>& contribution,
-    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
-    const std::function<void(NodeId, PartId, std::uint64_t)>& on_root_result,
-    RoutingPriority priority) {
-  RoutingPlan plan = compile_routing_plan(tree, shortcut);
-  attach_root_depths(plan, tree, shortcut, root_depth_on_edge);
-  RoutingScratch scratch;
-  return run_component_convergecast(net, tree, plan, scratch, contribution,
-                                    combine, on_root_result, priority);
 }
 
 }  // namespace lcs

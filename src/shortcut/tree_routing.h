@@ -13,26 +13,28 @@
 ///  * `run_component_broadcast` — each component root injects one word; it
 ///    is delivered to every node of the component. Messages carry the root
 ///    depth, so the Lemma 2 priority is available on arrival (this is also
-///    how the per-edge root depths of the "distributed representation" are
-///    computed in the first place).
+///    how the plan's parent root depths of the "distributed representation"
+///    are computed in the first place).
 ///  * `run_component_convergecast` — every node of a component contributes
 ///    one word; an associative, commutative combiner folds them toward the
-///    component root. Upward priorities use per-edge root depths that must
-///    have been computed beforehand (see representation.h).
+///    component root. Upward priorities are the parent root depths that
+///    the representation phase wrote into the plan (see representation.h).
 ///
 /// ## The compiled routing plan
 ///
 /// Both engines run over a `RoutingPlan`: each node's share of the block
 /// components, compiled once per shortcut into flat offset-indexed (CSR)
-/// arrays. It is CONGEST-faithful and costs zero rounds, because every
-/// entry derives from what the node already holds after the Section 4.1
-/// representation phase — the part lists on its incident tree edges and
-/// the root depth of each component on its parent edge. Node v's entries,
+/// arrays, and is the only routing representation a shortcut has. It is
+/// CONGEST-faithful and costs zero rounds, because every entry derives
+/// from what the node already holds after the Section 4.1 representation
+/// phase — the part lists on its incident tree edges and the root depth of
+/// each component on its parent edge. Node v's entries,
 /// its rooted components and its child slots are v's local knowledge laid
 /// out in one array instead of recomputed per phase.
 ///
-/// Reuse contract: a plan is immutable once built (compiled, root depths
-/// attached), so any number of phases (and threads) may read it. The
+/// Reuse contract: a plan is immutable once built (compiled, and for a
+/// `ShortcutState` its parent root depths filled in by the representation
+/// phase), so any number of phases (and threads) may read it. The
 /// mutable per-phase state lives in a caller-owned `RoutingScratch` whose
 /// arrays are split per node: node v's callbacks write only v's entries,
 /// v's heap and v's child slots, so rounds that run different nodes on
@@ -41,8 +43,8 @@
 /// a scratch keeps its capacity; a superstep loop owns one for all of its
 /// phases.
 ///
-/// Nodes only consult local data: their plan entries, the per-edge
-/// priorities, and callbacks that read/write their own node's slot.
+/// Nodes only consult local data: their plan entries (parent root depths
+/// included) and callbacks that read/write their own node's slot.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +80,8 @@ struct RoutingPlan {
     /// instead of closing the component.
     bool has_parent = false;
     /// Depth of the component's root (the Lemma 2 priority on the parent
-    /// edge); meaningful when has_parent and root depths are attached.
+    /// edge); meaningful when has_parent, once compute_shortcut_state has
+    /// filled it in.
     std::int32_t parent_root_depth = 0;
   };
 
@@ -109,16 +112,10 @@ struct RoutingPlan {
 };
 
 /// Compile the plan of `shortcut` on `tree` (local, zero rounds). Parent
-/// root depths are left 0 until `attach_root_depths` supplies them, which
-/// only convergecasts need.
+/// root depths are left 0: broadcasts never read them, and
+/// compute_shortcut_state fills them in for convergecasts.
 RoutingPlan compile_routing_plan(const SpanningTree& tree,
                                  const Shortcut& shortcut);
-
-/// Record each entry's parent-edge root depth. `root_depth_on_edge` must
-/// align element-wise with `shortcut.parts_on_edge` (see representation.h).
-void attach_root_depths(
-    RoutingPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge);
 
 /// Working memory of the routing phases, sized from a plan and split per
 /// node (see the reuse contract above). Its contents belong to
@@ -181,30 +178,11 @@ congest::PhaseStats run_component_broadcast(
 /// returns the word that node feeds in. `combine` must be associative and
 /// commutative. `on_root_result(v, j, agg)` fires at each component root;
 /// components that become ready at a node in the same round close in part
-/// order. `plan` must carry root depths (`attach_root_depths`).
+/// order. Under kRootDepth the parent root depths in `plan` set the order
+/// (see compute_shortcut_state).
 congest::PhaseStats run_component_convergecast(
     congest::Network& net, const SpanningTree& tree, const RoutingPlan& plan,
     RoutingScratch& scratch,
-    const std::function<std::uint64_t(NodeId v, PartId j)>& contribution,
-    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
-    const std::function<void(NodeId root, PartId j, std::uint64_t agg)>&
-        on_root_result,
-    RoutingPriority priority = RoutingPriority::kRootDepth);
-
-/// One-shot broadcast: compiles a plan for `shortcut` and runs on fresh
-/// scratch. For single phases; loops should compile once and reuse.
-congest::PhaseStats run_component_broadcast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::function<std::uint64_t(NodeId root, PartId j)>& root_value,
-    const std::function<void(NodeId v, PartId j, std::uint64_t value,
-                             std::int32_t root_depth)>& on_receive,
-    RoutingPriority priority = RoutingPriority::kRootDepth);
-
-/// One-shot convergecast: compiles a plan for `shortcut` with
-/// `root_depth_on_edge` attached and runs on fresh scratch.
-congest::PhaseStats run_component_convergecast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge,
     const std::function<std::uint64_t(NodeId v, PartId j)>& contribution,
     const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
     const std::function<void(NodeId root, PartId j, std::uint64_t agg)>&

@@ -292,7 +292,7 @@ TEST(Network, DoubleSendIsNotDiagnosedWithValidationOff) {
 
 TEST(Network, RecoversAfterAbortedPhase) {
   // A phase that dies mid-flight (CONGEST violation) leaves messages in
-  // the fill slab; the next run on the same Network must start clean.
+  // its send lanes; the next run on the same Network must start clean.
   const Graph g = make_path(4);
   Network net(g);
   {

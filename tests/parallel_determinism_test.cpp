@@ -224,7 +224,7 @@ TEST(ParallelPromotion, ThresholdCrossingsInsideOnePhaseMatchSequential) {
 }
 
 TEST(ParallelDeterminism, ThreadCountSwitchesMidLifeKeepObservables) {
-  // One Network, one phase per (thread count, fallback threshold) pair,
+  // One Network, one phase per (thread count, executor threshold) pair,
   // in an order that grows and shrinks the pool and flips rounds between
   // the two executors. Every phase must reproduce the stats and logs of
   // the corresponding threads=1 run.

@@ -104,6 +104,10 @@ TEST_P(RoutingEquivalence, MatchesMapBasedReference) {
     const ShortcutState state = compute_shortcut_state(
         setup.net, setup.tree, p,
         greedy_blocked_shortcut(g, setup.tree, p, c));
+    // The reference takes its root depths from the centralized oracle, so
+    // the plan's own depths are checked too, not copied.
+    const auto root_depths =
+        testutil::central_root_depths(g, setup.tree, p, state.shortcut);
     for (const RoutingPriority prio :
          {RoutingPriority::kRootDepth, RoutingPriority::kPartId,
           RoutingPriority::kFifo}) {
@@ -133,7 +137,7 @@ TEST_P(RoutingEquivalence, MatchesMapBasedReference) {
             setup.net, setup.tree, state.plan, scratch, contribution,
             combine, on_root(got), prio);
         const auto want_stats = reference::component_convergecast(
-            setup.net, setup.tree, state.shortcut, state.root_depth_on_edge,
+            setup.net, setup.tree, state.shortcut, root_depths,
             contribution, combine, on_root(want), prio);
         expect_same(got_stats, want_stats, got, want,
                     ctx + " convergecast " + std::to_string(phase));

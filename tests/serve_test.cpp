@@ -277,6 +277,28 @@ TEST(ServeDriver, ErrorDocumentsAreDeterministic) {
   EXPECT_NE(doc1.find("nonsense"), std::string::npos);
 }
 
+TEST(ServeDriver, NegativeParallelThresholdIsRejected) {
+  driver::RunOptions o;
+  o.algo = "mst";
+  o.scenario = "grid:w=4,h=4";
+  o.timing = false;
+  driver::check_run_options(o);  // unset: the engine default
+  o.parallel_threshold = 0;
+  driver::check_run_options(o);
+  std::string out;
+  o.parallel_threshold = -5;
+  try {
+    driver::run_document(o, driver::RunHooks{}, out);
+    FAIL() << "negative threshold accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "--parallel-threshold must be non-negative"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(ServeDriver, SpecHashIsStableAcrossRuns) {
   // Cache file names embed this hash; a drifting hash function would
   // silently orphan every on-disk entry. Pin the FNV-1a constants.

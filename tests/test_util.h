@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -95,6 +96,30 @@ inline std::vector<CentralComponent> central_components(
     result.push_back(std::move(comp));
   }
   return result;
+}
+
+/// Centralized root depth of every (edge, part) pair of `s`, aligned
+/// element-wise with `s.parts_on_edge`: the depth of the root of the block
+/// component the edge belongs to in that part. The reference processes of
+/// routing_reference.h take this per-edge layout.
+inline std::vector<std::vector<std::int32_t>> central_root_depths(
+    const Graph& g, const SpanningTree& tree, const Partition& p,
+    const Shortcut& s) {
+  std::vector<std::vector<std::int32_t>> depths(s.parts_on_edge.size());
+  for (std::size_t e = 0; e < depths.size(); ++e)
+    depths[e].assign(s.parts_on_edge[e].size(), -1);
+  for (PartId j = 0; j < p.num_parts; ++j) {
+    for (const auto& comp : central_components(g, tree, p, s, j)) {
+      for (const EdgeId e : comp.edges) {
+        const auto& list = s.parts_on_edge[static_cast<std::size_t>(e)];
+        const auto idx = static_cast<std::size_t>(
+            std::lower_bound(list.begin(), list.end(), j) - list.begin());
+        depths[static_cast<std::size_t>(e)][idx] =
+            tree.depth[static_cast<std::size_t>(comp.root)];
+      }
+    }
+  }
+  return depths;
 }
 
 /// Centralized count of block components (Definition 3) for one part.

@@ -48,8 +48,10 @@ TEST(TreeRouting, BroadcastReachesEveryComponentNodeExactlyOnce) {
 
     // (node, part) -> received values.
     std::map<std::pair<NodeId, PartId>, std::vector<std::uint64_t>> seen;
+    const RoutingPlan plan = compile_routing_plan(setup.tree, sc.s);
+    RoutingScratch scratch;
     run_component_broadcast(
-        setup.net, setup.tree, sc.s,
+        setup.net, setup.tree, plan, scratch,
         [](NodeId root, PartId j) {
           return (static_cast<std::uint64_t>(root) << 20) |
                  static_cast<std::uint64_t>(j);
@@ -85,8 +87,9 @@ TEST(TreeRouting, ConvergecastSumsComponentContributions) {
         compute_shortcut_state(setup.net, setup.tree, p, sc.s);
 
     std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
+    RoutingScratch scratch;
     run_component_convergecast(
-        setup.net, setup.tree, state.shortcut, state.root_depth_on_edge,
+        setup.net, setup.tree, state.plan, scratch,
         [](NodeId, PartId) -> std::uint64_t { return 1; },  // count nodes
         [](std::uint64_t a, std::uint64_t b) { return a + b; },
         [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -114,8 +117,9 @@ TEST(TreeRouting, ConvergecastMinFindsComponentMinimum) {
       compute_shortcut_state(setup.net, setup.tree, p, sc.s);
 
   std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
+  RoutingScratch scratch;
   run_component_convergecast(
-      setup.net, setup.tree, state.shortcut, state.root_depth_on_edge,
+      setup.net, setup.tree, state.plan, scratch,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
       [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -149,18 +153,17 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
   // finds all ten ready at once in on_start.
   Shortcut s;
   s.parts_on_edge.assign(static_cast<std::size_t>(g.num_edges()), {});
-  std::vector<std::vector<std::int32_t>> root_depth(
-      static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (PartId j = 0; j < kParts; ++j) {
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    for (PartId j = 0; j < kParts; ++j)
       s.parts_on_edge[static_cast<std::size_t>(e)].push_back(j);
-      root_depth[static_cast<std::size_t>(e)].push_back(0);  // root: node 0
-    }
-  }
+  // A plan compiled alone has parent root depth 0 on every entry, which is
+  // the true depth here: every component is rooted at node 0.
+  const RoutingPlan plan = compile_routing_plan(setup.tree, s);
+  RoutingScratch scratch;
 
   std::vector<PartId> order;
   run_component_convergecast(
-      setup.net, setup.tree, s, root_depth,
+      setup.net, setup.tree, plan, scratch,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return a + b; },
       [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -185,9 +188,11 @@ TEST(TreeRouting, Lemma2RoundBound) {
       const auto p = make_random_bfs_partition(g, 25, seed + 9);
       Scenario sc(g, p, setup.tree, threshold);
 
+      const RoutingPlan plan = compile_routing_plan(setup.tree, sc.s);
+      RoutingScratch scratch;
       const std::int64_t before = setup.net.total_rounds();
       run_component_broadcast(
-          setup.net, setup.tree, sc.s,
+          setup.net, setup.tree, plan, scratch,
           [](NodeId, PartId) -> std::uint64_t { return 7; },
           [](NodeId, PartId, std::uint64_t, std::int32_t) {});
       const std::int64_t rounds = setup.net.total_rounds() - before;
@@ -210,9 +215,11 @@ TEST(TreeRouting, FullAncestorBroadcastCongestionStress) {
     c = std::max(c, util::checked_cast<std::int32_t>(
                         s.parts_on_edge[static_cast<std::size_t>(e)].size()));
 
+  const RoutingPlan plan = compile_routing_plan(setup.tree, s);
+  RoutingScratch scratch;
   const std::int64_t before = setup.net.total_rounds();
   run_component_broadcast(
-      setup.net, setup.tree, s,
+      setup.net, setup.tree, plan, scratch,
       [](NodeId, PartId) -> std::uint64_t { return 1; },
       [](NodeId, PartId, std::uint64_t, std::int32_t) {});
   EXPECT_LE(setup.net.total_rounds() - before, 2 * (setup.tree.height + c) + 8);

@@ -126,18 +126,33 @@ expect_error_contains threads_over_cap 2 '--threads must be in [0, 256]' \
 expect_error_contains threads_negative 2 '--threads must be in [0, 256]' \
   --algo=none --scenario='er:n=50,deg=4' --threads=-1
 
-# One whole error document, byte for byte: the diagnosis names the failed
+# Engine thresholds are non-negative; a negative one is diagnosed, never
+# silently replaced by the engine default.
+expect_error_contains parallel_threshold_negative 2 \
+  '--parallel-threshold must be non-negative' \
+  --algo=mst --scenario='grid:w=8,h=8' --parallel-threshold=-5
+
+# Whole error documents, byte for byte: the diagnosis names the failed
 # condition and the message but no source file or line, so its bytes do not
 # depend on where the tree was checked out or on line numbers. Regenerate
 # by redirecting lcs_run's stdout for these arguments into the golden.
-golden="$(dirname "$0")/../tests/goldens/cli_error.threads_over_cap.json"
-if "$run" --algo=none --scenario='er:n=50,deg=4' --threads=257 2>/dev/null |
-    diff -u "$golden" - >&2; then
-  echo "ok   threads_over_cap_document"
-else
-  echo "FAIL threads_over_cap_document: error document drifted from $golden" >&2
-  failures=$((failures + 1))
-fi
+# expect_document NAME GOLDEN [args...]
+expect_document() {
+  local name="$1" golden
+  golden="$(dirname "$0")/../tests/goldens/$2"
+  shift 2
+  if "$run" "$@" 2>/dev/null | diff -u "$golden" - >&2; then
+    echo "ok   $name"
+  else
+    echo "FAIL $name: error document drifted from $golden" >&2
+    failures=$((failures + 1))
+  fi
+}
+expect_document threads_over_cap_document cli_error.threads_over_cap.json \
+  --algo=none --scenario='er:n=50,deg=4' --threads=257
+expect_document parallel_threshold_negative_document \
+  cli_error.parallel_threshold_negative.json \
+  --algo=mst --scenario='grid:w=8,h=8' --parallel-threshold=-5
 
 # A successful run must NOT contain the error object (guards against the
 # error path leaking into healthy reports).

@@ -73,6 +73,13 @@ add err_family '{"id":"err_family","algo":"components","scenario":"frobnicate:n=
 # engine threads.
 add err_threads '{"id":"err_threads","algo":"mst","scenario":"er:n=50,deg=4","threads":257,"timing":false}' \
   '--algo=mst --scenario=er:n=50,deg=4 --threads=257 --no-timing'
+# A negative engine threshold is an error object, and so is an
+# out-of-range thread count on a request whose report the memo already
+# holds (same fields as "mst"; the memo key leaves both fields out).
+add err_threshold '{"id":"err_threshold","algo":"mst","scenario":"er:n=150,deg=5,seed=5","seed":7,"parallel_threshold":-5,"validate":true,"timing":false}' \
+  '--algo=mst --scenario=er:n=150,deg=5,seed=5 --seed=7 --parallel-threshold=-5 --validate --no-timing'
+add err_threads_memo '{"id":"err_threads_memo","algo":"mst","scenario":"er:n=150,deg=5,seed=5","seed":7,"threads":257,"validate":true,"timing":false}' \
+  '--algo=mst --scenario=er:n=150,deg=5,seed=5 --seed=7 --threads=257 --validate --no-timing'
 add err_sweep '{"id":"err_sweep","algo":"components","scenario":"er:n=100,deg=4","sweep":"bogus=1..4","timing":false}' \
   '--algo=components --scenario=er:n=100,deg=4 --sweep=bogus=1..4 --no-timing'
 
